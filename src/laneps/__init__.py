@@ -12,9 +12,7 @@ from .basis import (
     RootFindingError,
     christoffel_weights,
     eval_gegenbauer,
-    eval_gegenbauer_derivative,
     gauss_radau_nodes,
-    leading_coefficient,
     node_polynomial,
     normalization,
     shift_nodeset,
@@ -97,14 +95,12 @@ __all__ = [
     "christoffel_weights",
     "compute_residual",
     "eval_gegenbauer",
-    "eval_gegenbauer_derivative",
     "gauss_radau_nodes",
     "gegenbauer_sup_norm",
     "get_example",
     "integrate_basis",
     "interpolate",
     "interpolation_matrix",
-    "leading_coefficient",
     "load_config",
     "node_polynomial",
     "normalization",

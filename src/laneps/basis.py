@@ -8,7 +8,8 @@ degree, generated by the three-term recurrence
 orthogonal on [-1, 1] against the weight (1 - x^2)^(a - 1/2) for a > -1/2.
 a = 0 gives the Chebyshev polynomials of the first kind and a = 1/2 the
 Legendre polynomials.  Collocation uses the right-endpoint Gauss-Radau points:
-x = 1 together with the n roots of q_n = G_{n+1} - G_n.
+x = 1 together with the n roots of q_n = G_{n+1} - G_n, computed as Golub–Welsch
+eigenvalues of the Jacobi matrix, one Newton polish.
 """
 from __future__ import annotations
 
@@ -22,9 +23,7 @@ __all__ = [
     "NodeSet",
     "RootFindingError",
     "eval_gegenbauer",
-    "eval_gegenbauer_derivative",
     "node_polynomial",
-    "leading_coefficient",
     "normalization",
     "gauss_radau_nodes",
     "christoffel_weights",
@@ -32,13 +31,9 @@ __all__ = [
     "shift_nodeset",
 ]
 
-#: Newton tolerance per root and iteration cap for the node solver.
-_ROOT_TOL = 1e-14
-_ROOT_MAXITER = 100
-
 
 class RootFindingError(RuntimeError):
-    """Raised when the Gauss-Radau node solver cannot isolate all roots."""
+    """Raised when the computed Gauss-Radau nodes are not strictly descending in (-1, 1]."""
 
 
 def _check_alpha(alpha: float) -> None:
@@ -98,20 +93,6 @@ def eval_gegenbauer(alpha: float, m: int, x) -> np.ndarray:
     return out
 
 
-def eval_gegenbauer_derivative(alpha: float, m: int, x) -> np.ndarray:
-    """Evaluate G_0' .. G_m' at x via the differentiated recurrence."""
-    _check_alpha(alpha)
-    x = np.asarray(x, dtype=float)
-    g = eval_gegenbauer(alpha, m, x)
-    out = np.empty_like(g)
-    out[0] = 0.0
-    if m >= 1:
-        out[1] = 1.0
-    for k in range(1, m):
-        out[k + 1] = (2 * (k + alpha) * (g[k] + x * out[k]) - k * out[k - 1]) / (k + 2 * alpha)
-    return out
-
-
 def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate q_n = G_{n+1} - G_n and its derivative with O(1) row storage."""
     _check_alpha(alpha)
@@ -125,24 +106,6 @@ def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
         d_next = (2 * (k + alpha) * (g + x * d) - k * d_prev) / (k + 2 * alpha)
         g_prev, g, d_prev, d = g, g_next, d, d_next
     return g - g_prev, d - d_prev
-
-
-def leading_coefficient(alpha: float, n: int) -> float:
-    """Coefficient of x^n in G_n.
-
-    K_0 = K_1 = 1; otherwise
-    K_n = 2^(n-1) Gamma(n+a) Gamma(2a+1) / (Gamma(n+2a) Gamma(a+1)).
-    """
-    _check_alpha(alpha)
-    if n <= 1:
-        return 1.0
-    return math.exp(
-        (n - 1) * math.log(2)
-        + math.lgamma(n + alpha)
-        + math.lgamma(2 * alpha + 1)
-        - math.lgamma(n + 2 * alpha)
-        - math.lgamma(alpha + 1)
-    )
 
 
 def normalization(alpha: float, n: int) -> float:
@@ -169,62 +132,28 @@ def normalization(alpha: float, n: int) -> float:
     )
 
 
-def _bracket_interior_roots(alpha: float, n: int):
-    """Bracket the n interior roots of q_n by a sign scan, uniform in theta."""
-    m = 8 * (n + 1) + 64
-    for _ in range(5):
-        theta = np.linspace(0.0, np.pi, m)[1:]  # skip the known root at x = 1
-        xs = np.cos(theta)
-        q, _ = node_polynomial(alpha, n, xs)
-        signs = np.sign(q)
-        flips = np.where(signs[:-1] * signs[1:] < 0)[0]
-        if len(flips) == n:
-            return xs[flips], xs[flips + 1], signs[flips]
-        m *= 2
-    raise RootFindingError(
-        f"sign scan isolated {len(flips)} of {n} interior roots (alpha={alpha})"
-    )
-
-
 def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
     """Right-endpoint Gauss-Radau abscissas: 1 and the roots of q_n, descending.
 
-    Interior roots are refined by Newton iteration started from the Chebyshev
-    Gauss-Radau angles cos(2*pi*k/(2n+1)), with every iterate clamped to a
-    sign-change bracket (bisection fallback) so each root stays in its basin.
+    The interior roots are the Gauss nodes of the Jacobi weight
+    (1 - x)^(a + 1/2) (1 + x)^(a - 1/2): Golub–Welsch eigenvalues of the Jacobi
+    matrix, one Newton polish on q_n (Golub & Welsch, Math. Comp. 23, 1969).
     """
     alpha, n = cfg.alpha, cfg.n
     if n == 0:
         return np.array([1.0])
-    hi, lo, sign_hi = _bracket_interior_roots(alpha, n)
-    x = np.cos(2 * np.pi * np.arange(1, n + 1) / (2 * n + 1))
-    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-    for _ in range(_ROOT_MAXITER):
-        q, qd = node_polynomial(alpha, n, x)
-        sq = np.sign(q)
-        on_hi_side = sq == sign_hi
-        hi = np.where(on_hi_side & (x < hi), x, hi)
-        lo = np.where(~on_hi_side & (x > lo) & (sq != 0), x, lo)
-        with np.errstate(all="ignore"):
-            x_new = x - q / qd
-        rejected = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
-        x_new = np.where(rejected, 0.5 * (lo + hi), x_new)
-        done = np.max(np.abs(x_new - x)) < _ROOT_TOL
-        x = x_new
-        if done:
-            break
-    else:
-        raise RootFindingError(f"Newton did not converge in {_ROOT_MAXITER} iterations")
-    # Polish: the step-size stop above can leave a residual q ~ 1e-11 where
-    # q_n is steep (roots crowding -1 for negative parameters), which the
-    # (1 + x)-weighted Christoffel numbers amplify.  Two unclamped sweeps
-    # move the roots by O(1e-14) and drive q to roundoff.
-    for _ in range(2):
-        q, qd = node_polynomial(alpha, n, x)
-        with np.errstate(all="ignore"):
-            step = q / qd
-        x = np.where(np.isfinite(step), x - step, x)
-    nodes = np.concatenate(([1.0], x))
+    a, b = alpha + 0.5, alpha - 0.5
+    k = np.arange(1, n)
+    s = 2 * k + a + b
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2)  # k = 0 term, cancelled so alpha = 0 is not 0/0
+    diag[1:] = (b * b - a * a) / (s * (s + 2))
+    off = np.sqrt(4 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1) * (s - 1)))
+    jacobi = np.diag(diag)
+    jacobi[k, k - 1] = off  # eigvalsh reads only the lower triangle
+    x = np.linalg.eigvalsh(jacobi)[::-1]
+    q, qd = node_polynomial(alpha, n, x)
+    nodes = np.concatenate(([1.0], x - q / qd))
     if not (np.all(np.diff(nodes) < 0) and nodes[-1] > -1.0):
         raise RootFindingError("computed nodes are not strictly descending in (-1, 1]")
     return nodes
