@@ -53,13 +53,7 @@ from .solver import (
     NonlinearSolveError,
     ProblemSpec,
     SolverResult,
-    compute_residual,
-    recover_y0,
     solve,
-    solve_linear_neumann,
-    solve_linear_robin,
-    solve_nonlinear_neumann,
-    solve_nonlinear_robin,
     solve_problem,
 )
 
@@ -93,7 +87,6 @@ __all__ = [
     "build_q1",
     "build_q2",
     "christoffel_weights",
-    "compute_residual",
     "eval_gegenbauer",
     "gauss_radau_nodes",
     "gegenbauer_sup_norm",
@@ -108,14 +101,9 @@ __all__ = [
     "parse_expression",
     "prefactor",
     "q_sup_norm",
-    "recover_y0",
     "shift_nodeset",
     "shift_operators",
     "solve",
-    "solve_linear_neumann",
-    "solve_linear_robin",
-    "solve_nonlinear_neumann",
-    "solve_nonlinear_robin",
     "solve_problem",
     "standard_nodeset",
 ]

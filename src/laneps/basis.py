@@ -37,8 +37,8 @@ class RootFindingError(RuntimeError):
 
 
 def _check_alpha(alpha: float) -> None:
-    if not alpha > -0.5:
-        raise ValueError(f"Gegenbauer parameter must exceed -1/2, got {alpha}")
+    if not (alpha > -0.5 and math.isfinite(alpha)):
+        raise ValueError(f"Gegenbauer parameter must be finite and exceed -1/2, got {alpha}")
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ class Report:
     kappa_inf: float | None
     newton_iters: int | None
     residual_max: float
-    converged: bool
 
 
 def _eval_exact(exact_fn, points: np.ndarray) -> np.ndarray:
@@ -98,7 +97,6 @@ def build_report(
         kappa_inf=result.kappa_inf,
         newton_iters=result.newton_iters,
         residual_max=float(np.max(np.abs(result.residual_nodes))),
-        converged=result.converged,
     )
 
 
@@ -139,7 +137,6 @@ def render_text(report: Report) -> str:
     if report.newton_iters is not None:
         lines.append(f"newton_iters = {report.newton_iters}")
     lines.append(f"residual_max = {_fmt(report.residual_max)}")
-    lines.append("converged = " + ("yes" if report.converged else "no"))
     return "\n".join(lines) + "\n"
 
 

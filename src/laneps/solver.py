@@ -9,9 +9,18 @@ recovered through the first- and second-order integration matrices, which
 turns the singular differential problem into a dense algebraic system with no
 differentiation matrices involved.
 
-Two boundary branches are handled: beta != 0 eliminates y(0) through the
-right-endpoint condition (Robin branch), while beta = 0 keeps y(0) as an extra
-unknown constrained by a derivative condition at both ends (Neumann branch).
+Both boundary branches are one system F(z) = 0 with Jacobian J(z), where
+
+    F(z) = H Phi + f(x, y(z)) + a1*a2/x,   H = I + a2 * Q1 / x.
+
+For beta != 0 (Robin) the right-endpoint condition eliminates y(0): z = Phi
+and y = xbar + Theta Phi.  For beta = 0 (Neumann) y(0) is an extra unknown:
+z = (Phi, y0), y = a1*x + Q2 Phi + y0, and F gains the border row
+Q1[0] Phi = delta/gamma - a1.  A linear problem is solved by one exact Newton
+step from z = 0; a nonlinear one by damped Newton from z = 0, restarted once
+from that same full step if it fails.  An exactly singular J (p = 0 on the
+Neumann branch leaves y(0) free) gets the minimum-norm least-squares step and
+kappa_inf = inf.
 """
 from __future__ import annotations
 
@@ -30,12 +39,6 @@ __all__ = [
     "NonlinearSolveError",
     "solve",
     "solve_problem",
-    "solve_linear_robin",
-    "solve_nonlinear_robin",
-    "solve_linear_neumann",
-    "solve_nonlinear_neumann",
-    "recover_y0",
-    "compute_residual",
 ]
 
 #: Newton stopping: max-norm step or residual at/below this level.
@@ -56,6 +59,7 @@ class ProblemSpec:
     Boundary conditions are y'(0) = alpha1 and beta*y(b) + gamma*y'(b) = delta.
     Linear problems supply p and g with f(x, y) = p(x)*y - g(x); nonlinear
     problems supply f(x, y) and optionally its partial derivative dfdy.
+    The scalar data must be finite.
     """
 
     kind: str
@@ -73,6 +77,9 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "nonlinear"):
             raise ValueError(f"kind must be 'linear' or 'nonlinear', got {self.kind!r}")
+        for name in ("alpha1", "alpha2", "beta", "gamma", "delta", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.b <= 0:
             raise ValueError(f"interval length must be positive, got {self.b}")
         if self.beta == 0 and self.gamma == 0:
@@ -99,7 +106,6 @@ class SolverResult:
     y0: float
     yprime_nodes: np.ndarray
     residual_nodes: np.ndarray
-    converged: bool
     kappa_inf: float | None = None
     newton_iters: int | None = None
     step_norms: tuple[float, ...] | None = None
@@ -124,22 +130,6 @@ class SolverResult:
         return np.where(x == 0.0, self.y0, out)
 
 
-def _pieces(spec: ProblemSpec, ops: IntegrationOperators):
-    """Shared assembly: nodes, shifted operators, H matrix, singular shift."""
-    x = ops.nodes
-    q1, q2 = ops.q1_shifted, ops.q2_shifted
-    h = np.eye(x.size) + spec.alpha2 * (q1 / x[:, None])
-    sing = spec.alpha1 * spec.alpha2 / x
-    return x, q1, q2, h, sing
-
-
-def _robin_pieces(spec: ProblemSpec, x, q1, q2):
-    """Baseline x-bar and the Phi -> y map Theta for the beta != 0 branch."""
-    xbar = (spec.delta - spec.gamma * spec.alpha1) / spec.beta + spec.alpha1 * (x - spec.b)
-    theta = q2 - (q2[0] + (spec.gamma / spec.beta) * q1[0])[None, :]
-    return xbar, theta
-
-
 def _condition_inf(a: np.ndarray) -> float:
     """Infinity-norm condition number, +inf for a singular matrix."""
     try:
@@ -151,6 +141,7 @@ def _condition_inf(a: np.ndarray) -> float:
 
 
 def _linear_step(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Direct solve; minimum-norm least squares only for an exactly singular a."""
     try:
         return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
@@ -202,174 +193,92 @@ def _damped_newton(residual_fn, jacobian_fn, z0: np.ndarray):
     )
 
 
-def recover_y0(spec: ProblemSpec, ops: IntegrationOperators, phi: np.ndarray) -> float:
-    """Recover y(0) from Phi through the right-endpoint boundary condition."""
-    if spec.beta == 0:
-        raise ValueError("y(0) is a primary unknown when beta = 0, not recoverable")
-    q1, q2 = ops.q1_shifted, ops.q2_shifted
-    yprime_b = spec.alpha1 + q1[0] @ phi
-    return float(
-        (spec.delta - spec.gamma * yprime_b) / spec.beta
-        - spec.alpha1 * spec.b
-        - q2[0] @ phi
-    )
-
-
-def compute_residual(
-    spec: ProblemSpec,
-    ops: IntegrationOperators,
-    phi: np.ndarray,
-    y_nodes: np.ndarray,
-) -> np.ndarray:
-    """Pointwise residual of the integrated collocation system at the nodes.
-
-    Returns H*Phi + f(x, y) + a1*a2/x, with f(x, y) = p(x)*y - g(x) in the
-    linear case; this vanishes (to roundoff) at a converged solution and
-    equals -g(x) at Phi = 0 for a linear problem with p = 0 and a1 = 0.
-    """
-    x, _, _, h, sing = _pieces(spec, ops)
+def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
+    """Solve F(z) = 0 on either boundary branch (see the module docstring)."""
+    x, q1, q2 = ops.nodes, ops.q1_shifted, ops.q2_shifted
+    m = x.size
+    robin = spec.beta != 0
+    h = np.eye(m) + spec.alpha2 * (q1 / x[:, None])
+    sing = spec.alpha1 * spec.alpha2 / x
     if spec.kind == "linear":
-        fval = spec.p(x) * y_nodes - spec.g(x)
+        pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
+        gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
+
+        def f(_, y):
+            return pvals * y - gvals
+
+        def dfdy(_, y):
+            return pvals
     else:
-        fval = spec.f(x, y_nodes)
-    return h @ phi + fval + sing
+        f, dfdy = spec.f, _dfdy_or_fd(spec)
 
+    if robin:  # z = Phi
+        xbar = (spec.delta - spec.gamma * spec.alpha1) / spec.beta + spec.alpha1 * (x - spec.b)
+        theta = q2 - (q2[0] + (spec.gamma / spec.beta) * q1[0])[None, :]
 
-def _finish(spec, ops, phi, y_nodes, y0, **diag) -> SolverResult:
-    yprime = spec.alpha1 + ops.q1_shifted @ phi
-    residual = compute_residual(spec, ops, phi, y_nodes)
+        def y_map(z):
+            return xbar + theta @ z
+    else:  # z = (Phi, y0)
+        theta = q2
+        border = spec.delta / spec.gamma - spec.alpha1
+
+        def y_map(z):
+            return z[m] + spec.alpha1 * x + q2 @ z[:m]
+
+    def residual(z):
+        fz = h @ z[:m] + f(x, y_map(z)) + sing
+        return fz if robin else np.append(fz, q1[0] @ z[:m] - border)
+
+    def jacobian(z):
+        # H + f_y * dy/dPhi formed in place; Neumann borders it with the
+        # column dF/dy0 = f_y and the row of the right-end condition.
+        fy = dfdy(x, y_map(z))
+        jac = np.zeros((z.size, z.size))
+        np.multiply(fy[:, None], theta, out=jac[:m, :m])
+        jac[:m, :m] += h
+        if not robin:
+            jac[:m, m] = fy
+            jac[m, :m] = q1[0]
+        return jac
+
+    z0 = np.zeros(m if robin else m + 1)
+
+    def full_step(jac):
+        return z0 + _linear_step(jac, -residual(z0))
+
+    if spec.kind == "linear":
+        jac = jacobian(z0)
+        z = full_step(jac)
+        diag = {"kappa_inf": _condition_inf(jac)}
+    else:
+        try:
+            z, iters, steps = _damped_newton(residual, jacobian, z0)
+        except NonlinearSolveError:
+            # Retry once from the full Newton step off z = 0, which solves the
+            # problem linearized about y_map(0).
+            z, iters, steps = _damped_newton(residual, jacobian, full_step(jacobian(z0)))
+        diag = {"newton_iters": iters, "step_norms": tuple(steps)}
+
+    phi = z[:m]
+    if robin:
+        # y(0) from the right-end condition with y(b) = y0 + a1*b + Q2[0] Phi.
+        y0 = (
+            (spec.delta - spec.gamma * (spec.alpha1 + q1[0] @ phi)) / spec.beta
+            - spec.alpha1 * spec.b
+            - q2[0] @ phi
+        )
+    else:
+        y0 = z[m]
     return SolverResult(
         spec=spec,
         nodeset=ops.shifted,
         phi=phi,
-        y_nodes=y_nodes,
+        y_nodes=y_map(z),
         y0=float(y0),
-        yprime_nodes=yprime,
-        residual_nodes=residual,
+        yprime_nodes=spec.alpha1 + q1 @ phi,
+        residual_nodes=residual(z)[:m],
         **diag,
     )
-
-
-def solve_linear_robin(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
-    """Direct dense solve of the beta != 0 linear problem."""
-    x, q1, q2, h, sing = _pieces(spec, ops)
-    xbar, theta = _robin_pieces(spec, x, q1, q2)
-    pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
-    gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
-    a = h + pvals[:, None] * theta
-    phi = _linear_step(a, gvals - sing - pvals * xbar)
-    y_nodes = xbar + theta @ phi
-    return _finish(
-        spec, ops, phi, y_nodes, recover_y0(spec, ops, phi),
-        converged=True, kappa_inf=_condition_inf(a),
-    )
-
-
-def solve_nonlinear_robin(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
-    """Damped Newton solve of the beta != 0 nonlinear problem."""
-    x, q1, q2, h, sing = _pieces(spec, ops)
-    xbar, theta = _robin_pieces(spec, x, q1, q2)
-    dfdy = _dfdy_or_fd(spec)
-
-    def residual(phi):
-        return h @ phi + spec.f(x, xbar + theta @ phi) + sing
-
-    def jacobian(phi):
-        return h + dfdy(x, xbar + theta @ phi)[:, None] * theta
-
-    try:
-        phi, iters, steps = _damped_newton(residual, jacobian, np.zeros_like(x))
-    except NonlinearSolveError:
-        # Retry once from the solution of the problem linearized about y = xbar.
-        fy0 = dfdy(x, xbar)
-        phi0 = _linear_step(h + fy0[:, None] * theta, -spec.f(x, xbar) - sing)
-        phi, iters, steps = _damped_newton(residual, jacobian, phi0)
-    y_nodes = xbar + theta @ phi
-    return _finish(
-        spec, ops, phi, y_nodes, recover_y0(spec, ops, phi),
-        converged=True, newton_iters=iters, step_norms=tuple(steps),
-    )
-
-
-def _neumann_rhs_last(spec: ProblemSpec) -> float:
-    return spec.delta / spec.gamma - spec.alpha1
-
-
-def solve_linear_neumann(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
-    """Dense solve of the beta = 0 linear problem with y(0) as extra unknown.
-
-    The bordered system can be exactly singular (p = 0 leaves y(0) free), in
-    which case the minimum-norm least-squares solution is returned and
-    kappa_inf is +inf.
-    """
-    x, q1, q2, h, sing = _pieces(spec, ops)
-    m = x.size
-    pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
-    gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
-    c = np.zeros((m + 1, m + 1))
-    c[:m, :m] = h + pvals[:, None] * q2
-    c[:m, m] = pvals
-    c[m, :m] = q1[0]
-    d = np.concatenate([gvals - spec.alpha1 * pvals * x - sing, [_neumann_rhs_last(spec)]])
-    psi = np.linalg.lstsq(c, d, rcond=None)[0]
-    phi, y0 = psi[:m], psi[m]
-    y_nodes = y0 + spec.alpha1 * x + q2 @ phi
-    return _finish(
-        spec, ops, phi, y_nodes, y0, converged=True, kappa_inf=_condition_inf(c),
-    )
-
-
-def solve_nonlinear_neumann(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
-    """Damped Newton solve of the beta = 0 nonlinear problem."""
-    x, q1, q2, h, sing = _pieces(spec, ops)
-    m = x.size
-    dfdy = _dfdy_or_fd(spec)
-    rhs_last = _neumann_rhs_last(spec)
-
-    def unpack(psi):
-        phi, y0 = psi[:m], psi[m]
-        return phi, y0, y0 + spec.alpha1 * x + q2 @ phi
-
-    def residual(psi):
-        phi, _, y = unpack(psi)
-        return np.concatenate([h @ phi + spec.f(x, y) + sing, [q1[0] @ phi - rhs_last]])
-
-    def jacobian(psi):
-        phi, _, y = unpack(psi)
-        fy = dfdy(x, y)
-        jac = np.zeros((m + 1, m + 1))
-        jac[:m, :m] = h + fy[:, None] * q2
-        jac[:m, m] = fy
-        jac[m, :m] = q1[0]
-        return jac
-
-    try:
-        psi, iters, steps = _damped_newton(residual, jacobian, np.zeros(m + 1))
-    except NonlinearSolveError:
-        # Retry once from the linearization about the baseline y = a1*x.
-        ybase = spec.alpha1 * x
-        fy0 = dfdy(x, ybase)
-        c = np.zeros((m + 1, m + 1))
-        c[:m, :m] = h + fy0[:, None] * q2
-        c[:m, m] = fy0
-        c[m, :m] = q1[0]
-        d = np.concatenate([-spec.f(x, ybase) - sing, [rhs_last]])
-        psi0 = np.linalg.lstsq(c, d, rcond=None)[0]
-        psi, iters, steps = _damped_newton(residual, jacobian, psi0)
-    phi, y0, y_nodes = unpack(psi)
-    return _finish(
-        spec, ops, phi, y_nodes, y0,
-        converged=True, newton_iters=iters, step_norms=tuple(steps),
-    )
-
-
-def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
-    """Dispatch on problem kind and boundary branch."""
-    if spec.kind == "linear":
-        branch = solve_linear_robin if spec.beta != 0 else solve_linear_neumann
-    else:
-        branch = solve_nonlinear_robin if spec.beta != 0 else solve_nonlinear_neumann
-    return branch(spec, ops)
 
 
 def solve_problem(spec: ProblemSpec, n: int, alpha: float) -> SolverResult:

@@ -64,6 +64,9 @@ class TestEvaluation:
             BasisConfig(-0.5, 4)
         with pytest.raises(ValueError):
             BasisConfig(0.5, -1)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                BasisConfig(alpha, 4)
 
 
 class TestScaleFactors:

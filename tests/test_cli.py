@@ -25,7 +25,6 @@ class TestExample:
         assert "kind=linear" in out
         assert "mae = " in out and "ae_b = " in out
         assert "kappa_inf = " in out
-        assert "converged = yes" in out
         assert "newton_iters" not in out  # linear solve has no iteration count
 
     def test_nonlinear_report_swaps_diagnostics(self, capsys):
