@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisConfig, RootFindingError
+from .basis import BasisConfig, RootFindingError, shift_nodeset, standard_nodeset
 from .config import ConfigError, load_config
 from .expressions import DomainEvalError, ExpressionError
-from .quadrature import build_operators
 from .registry import ExampleCase, RegistryError, all_examples, get_example
 from .solver import NonlinearSolveError, ProblemSpec, SolverResult, solve_problem
 
@@ -243,9 +242,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_nodes(args) -> int:
-    ops = build_operators(BasisConfig(args.alpha, args.n), args.b)
+    shifted = shift_nodeset(standard_nodeset(BasisConfig(args.alpha, args.n)), args.b)
     sys.stdout.write("index,node,weight\n")
-    for i, (node, weight) in enumerate(zip(ops.shifted.nodes, ops.shifted.weights)):
+    for i, (node, weight) in enumerate(zip(shifted.nodes, shifted.weights)):
         sys.stdout.write(f"{i},{_fmt(node)},{_fmt(weight)}\n")
     return 0
 

@@ -9,6 +9,7 @@ are dense (n+1) x (n+1) matrices acting on node-value vectors, assembled on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,20 +26,23 @@ __all__ = [
     "interpolate",
 ]
 
+#: Standard bases (nodes, weights, norms and Q1) kept for reuse across solves;
+#: at n = 512 each holds a 2 MB Q1.
+_BASIS_CACHE_SIZE = 8
+
 
 @dataclass(frozen=True)
 class IntegrationOperators:
-    """First- and second-order integration matrices, standard and shifted."""
+    """Standard first-order and shifted first- and second-order integration matrices."""
 
     standard: NodeSet
     shifted: NodeSet
     q1: np.ndarray
-    q2: np.ndarray
     q1_shifted: np.ndarray
     q2_shifted: np.ndarray
 
     def __post_init__(self):
-        for mat in (self.q1, self.q2, self.q1_shifted, self.q2_shifted):
+        for mat in (self.q1, self.q1_shifted, self.q2_shifted):
             mat.setflags(write=False)
 
     @property
@@ -104,25 +108,29 @@ def shift_operators(q1: np.ndarray, standard: NodeSet, b: float) -> IntegrationO
     """Map standard-interval operators onto [0, b].
 
     The first-order matrix scales by exactly b/2 under the affine map; the
-    second-order matrix is rebuilt from the shifted abscissas so that the
+    second-order matrix is built from the shifted abscissas so that the
     kernel factor (x_i - x_k) is exact in the shifted variable.
     """
     shifted = shift_nodeset(standard, b)
     q1_shifted = (b / 2.0) * q1
     return IntegrationOperators(
-        standard,
-        shifted,
-        q1,
-        build_q2(q1, standard.nodes),
-        q1_shifted,
-        build_q2(q1_shifted, shifted.nodes),
+        standard, shifted, q1, q1_shifted, build_q2(q1_shifted, shifted.nodes)
     )
 
 
-def build_operators(cfg: BasisConfig, b: float = 1.0) -> IntegrationOperators:
-    """Assemble standard and shifted integration operators in one call."""
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _standard_basis(cfg: BasisConfig) -> tuple[NodeSet, np.ndarray]:
+    """The standard nodeset and its Q1, shared by every b and every problem."""
     standard = standard_nodeset(cfg)
-    return shift_operators(build_q1(standard), standard, b)
+    q1 = build_q1(standard)
+    q1.setflags(write=False)
+    return standard, q1
+
+
+def build_operators(cfg: BasisConfig, b: float = 1.0) -> IntegrationOperators:
+    """Shift the memoized standard operators for (alpha, n) onto [0, b]."""
+    standard, q1 = _standard_basis(cfg)
+    return shift_operators(q1, standard, b)
 
 
 def interpolation_matrix(nodeset: NodeSet, x) -> np.ndarray:

@@ -59,7 +59,7 @@ class ProblemSpec:
     Boundary conditions are y'(0) = alpha1 and beta*y(b) + gamma*y'(b) = delta.
     Linear problems supply p and g with f(x, y) = p(x)*y - g(x); nonlinear
     problems supply f(x, y) and optionally its partial derivative dfdy.
-    The scalar data must be finite.
+    The scalar data, and p and g at the nodes, must be finite.
     """
 
     kind: str
@@ -203,6 +203,9 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     if spec.kind == "linear":
         pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
         gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
+        for name, vals in (("p", pvals), ("g", gvals)):
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"{name}(x) is not finite at every node")
 
         def f(_, y):
             return pvals * y - gvals

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from laneps import quadrature
 from laneps.basis import BasisConfig, standard_nodeset
 from laneps.quadrature import (
     build_operators,
     build_q1,
-    build_q2,
     eval_gegenbauer,
     integrate_basis,
     interpolate,
@@ -111,7 +111,43 @@ class TestSecondOrderOperator:
         direct = build_operators(cfg, 1.5)
         assert np.all(ops.q1_shifted == direct.q1_shifted)
         assert np.all(ops.q2_shifted == direct.q2_shifted)
-        assert np.all(ops.q2 == build_q2(q1, standard.nodes))
+
+
+class TestStandardBasisMemo:
+    def test_shared_across_interval_lengths(self):
+        cfg = BasisConfig(0.7, 9)
+        first, second = build_operators(cfg, 1.0), build_operators(cfg, 2.5)
+        assert first.standard is second.standard
+        assert first.q1 is second.q1
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID + (-0.499, 20.0))
+    @pytest.mark.parametrize("n", [0, 1, 5, 32])
+    @pytest.mark.parametrize("b", B_GRID)
+    def test_bit_identical_to_a_fresh_build(self, alpha, n, b):
+        cfg = BasisConfig(alpha, n)
+        standard = standard_nodeset(cfg)
+        fresh = shift_operators(build_q1(standard), standard, b)
+        for ops in (build_operators(cfg, b), build_operators(cfg, b)):
+            for ns in ("standard", "shifted"):
+                for field in ("nodes", "weights", "lambdas"):
+                    assert np.array_equal(
+                        getattr(getattr(ops, ns), field), getattr(getattr(fresh, ns), field)
+                    )
+            for field in ("q1", "q1_shifted", "q2_shifted"):
+                assert np.array_equal(getattr(ops, field), getattr(fresh, field))
+
+    def test_least_recently_used_basis_is_rebuilt(self):
+        cfg = BasisConfig(0.25, 3)
+        first = build_operators(cfg).standard
+        for k in range(quadrature._BASIS_CACHE_SIZE):
+            build_operators(BasisConfig(0.25, 4 + k))
+        assert build_operators(cfg).standard is not first
+
+    def test_public_builders_return_fresh_objects(self):
+        cfg = BasisConfig(0.5, 6)
+        assert standard_nodeset(cfg) is not standard_nodeset(cfg)
+        standard = standard_nodeset(cfg)
+        assert build_q1(standard) is not build_q1(standard)
 
 
 class TestInterpolation:
@@ -141,6 +177,8 @@ class TestInterpolation:
         assert np.max(np.abs(interpolate(ns, values, x) - (c0 + c1 * x))) <= 1e-11
 
     def test_matrices_are_frozen(self):
+        """Shifted operators, and the memoized standard ones they share, are read-only."""
         ops = build_operators(BasisConfig(0.5, 4), 1.0)
-        with pytest.raises(ValueError):
-            ops.q1_shifted[0, 0] = 0.0
+        for arr in (ops.q1_shifted, ops.q2_shifted, ops.q1, ops.standard.nodes):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0

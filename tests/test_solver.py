@@ -154,6 +154,18 @@ class TestResidual:
             assert np.max(np.abs(r.residual_nodes)) <= 1e-10
 
 
+class TestRepeatSolves:
+    @pytest.mark.parametrize("ex_id", [1, 2, 5])
+    def test_second_solve_is_bit_identical(self, ex_id):
+        spec = get_example(ex_id).spec
+        first, second = (solve_problem(spec, 12, 0.3) for _ in range(2))
+        for field in ("y_nodes", "phi"):
+            assert np.array_equal(getattr(first, field), getattr(second, field))
+        assert first.y0 == second.y0
+        assert first.kappa_inf == second.kappa_inf
+        assert first.step_norms == second.step_norms
+
+
 class TestResultInterface:
     def test_evaluate_returns_native_values_at_the_endpoints(self):
         r = solve_problem(_manufactured_linear(), 6, 0.5)
@@ -193,3 +205,20 @@ class TestValidation:
             with pytest.raises(ValueError):
                 ProblemSpec(kind="linear", p=lambda x: x, g=lambda x: x,
                             **{**bc, key: bad})
+
+    @pytest.mark.parametrize("beta,gamma", [(1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("name", ["p", "g"])
+    def test_rejects_non_finite_linear_data_at_the_nodes(self, name, beta, gamma):
+        bad = np.nan if name == "p" else np.inf
+        data = {"p": lambda x: np.ones_like(x), "g": lambda x: x}
+        data[name] = lambda x: np.full_like(x, bad)
+        spec = ProblemSpec(kind="linear", alpha1=0.0, alpha2=1.0, beta=beta,
+                           gamma=gamma, delta=0.0, **data)
+        with pytest.raises(ValueError, match=rf"^{name}\(x\) is not finite"):
+            solve_problem(spec, 8, 0.5)
+
+    def test_non_finite_nonlinear_residual_raises(self):
+        spec = ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=1.0,
+                           gamma=0.0, delta=0.0, f=lambda x, y: np.full_like(x, np.nan))
+        with pytest.raises(NonlinearSolveError, match="not finite at the initial guess"):
+            solve_problem(spec, 8, 0.5)
