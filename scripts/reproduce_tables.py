@@ -11,8 +11,7 @@ abscissas next to the stored value, and prints the summary maximum-absolute
 import argparse
 import sys
 
-import numpy as np
-
+from laneps.cli import build_report
 from laneps.registry import all_examples, get_example
 from laneps.solver import solve_problem
 
@@ -21,35 +20,29 @@ def fmt(value: float) -> str:
     return format(value, ".4e")
 
 
-def table_rows(case, table):
-    result = solve_problem(case.spec, table.n, table.alpha)
-    pts = np.asarray(table.abscissas, dtype=float)
-    approx = result.evaluate(pts)
-    exact = case.exact(pts)
-    rel = np.abs(approx - exact) / np.abs(exact)
-    exact_b = float(case.exact(case.spec.b))
-    ae_b = abs(float(result.y_nodes[0]) - exact_b)
-    return rel, ae_b
+def report(case, n, alpha, points):
+    result = solve_problem(case.spec, n, alpha)
+    return build_report(case.spec, n, alpha, result, points, case.exact)
 
 
 def print_case(case, csv_lines):
     for table in case.reference_tables:
         print(f"\nexample {case.id} ({case.title}), n={table.n}, alpha={table.alpha}")
         print(f"{'x':>8}  {'measured RE':>12}  {'stored RE':>12}")
-        rel, ae_b = table_rows(case, table)
-        for x, measured, stored in zip(table.abscissas, rel, table.relative_errors):
+        errors = report(case, table.n, table.alpha, table.abscissas)
+        # tolist() gives Python floats, whose repr is a plain number in the CSV.
+        rows = zip(table.abscissas, errors.rel_err.tolist(), table.relative_errors)
+        for x, measured, stored in rows:
             print(f"{x:8.3f}  {fmt(measured):>12}  {fmt(stored):>12}")
             csv_lines.append(
                 f"{case.id},{table.n},{table.alpha},{x},{measured!r},{stored!r}"
             )
-        print(f"{'AE at b':>8}  {fmt(ae_b):>12}  {fmt(table.endpoint_abs_error):>12}")
+        print(f"{'AE at b':>8}  {fmt(errors.ae_b):>12}  {fmt(table.endpoint_abs_error):>12}")
     if case.reference_maes:
         print(f"\nexample {case.id} maximum absolute errors over the lattice")
         print(f"{'n':>4} {'alpha':>6}  {'measured':>12}  {'stored':>12}")
         for ref in case.reference_maes:
-            result = solve_problem(case.spec, ref.n, ref.alpha)
-            lattice = case.lattice()
-            mae = float(np.max(np.abs(result.evaluate(lattice) - case.exact(lattice))))
+            mae = report(case, ref.n, ref.alpha, case.lattice()).mae
             print(f"{ref.n:4d} {ref.alpha:6.1f}  {fmt(mae):>12}  {fmt(ref.mae):>12}")
 
 

@@ -10,6 +10,7 @@ significant digits and runs are fully deterministic.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -99,6 +100,28 @@ def build_report(
     )
 
 
+def _opt(value) -> str:
+    """A report cell: empty when the value does not apply to this solve."""
+    return "" if value is None else _fmt(value)
+
+
+#: Per-point report columns, in the order of ``_point_cells``.
+_POINT_COLUMNS = ("x", "y_exact", "y_approx", "abs_error", "rel_error")
+
+
+def _point_cells(report: Report, i: int) -> list[str]:
+    """The ``_POINT_COLUMNS`` cells of point ``i``; the exact-solution and
+    error cells are empty when the problem has no exact solution."""
+    columns = (report.points, report.exact_vals, report.approx, report.abs_err,
+               report.rel_err)
+    return [_opt(None if column is None else column[i]) for column in columns]
+
+
+def _summary_cells(report: Report) -> list[str]:
+    return [_opt(report.mae), _opt(report.ae_b), _opt(report.kappa_inf),
+            _opt(report.newton_iters)]
+
+
 def render_text(report: Report) -> str:
     """Human-readable report; deterministic for identical inputs."""
     spec = report.spec
@@ -111,26 +134,16 @@ def render_text(report: Report) -> str:
     ]
     width = 25
     if report.exact_vals is not None:
-        header = "".join(
-            title.rjust(width)
-            for title in ("x", "y_exact", "y_approx", "abs_error", "rel_error")
-        )
-        lines.append(header + "  flag")
-        for i, x in enumerate(report.points):
-            row = "".join(
-                _fmt(v).rjust(width)
-                for v in (
-                    x, report.exact_vals[i], report.approx[i],
-                    report.abs_err[i], report.rel_err[i],
-                )
-            )
+        lines.append("".join(title.rjust(width) for title in _POINT_COLUMNS) + "  flag")
+        for i in range(len(report.points)):
+            row = "".join(cell.rjust(width) for cell in _point_cells(report, i))
             lines.append(row + ("  ae" if report.rel_is_abs[i] else "  -"))
         lines.append(f"mae = {_fmt(report.mae)}")
         lines.append(f"ae_b = {_fmt(report.ae_b)}")
     else:
         lines.append("x".rjust(width) + "y_approx".rjust(width))
-        for i, x in enumerate(report.points):
-            lines.append(_fmt(x).rjust(width) + _fmt(report.approx[i]).rjust(width))
+        for i in range(len(report.points)):
+            lines.append("".join(cell.rjust(width) for cell in _point_cells(report, i) if cell))
     if report.kappa_inf is not None:
         lines.append(f"kappa_inf = {_fmt(report.kappa_inf)}")
     if report.newton_iters is not None:
@@ -141,54 +154,44 @@ def render_text(report: Report) -> str:
 
 def render_csv(report: Report) -> str:
     """CSV body: per-point columns plus repeated summary columns."""
-    header = (
-        "x,y_exact,y_approx,abs_error,rel_error,rel_is_abs,"
-        "mae,ae_b,kappa_inf,newton_iters,residual_max"
-    )
-    kappa = _fmt(report.kappa_inf) if report.kappa_inf is not None else ""
-    iters = str(report.newton_iters) if report.newton_iters is not None else ""
-    mae = _fmt(report.mae) if report.mae is not None else ""
-    ae_b = _fmt(report.ae_b) if report.ae_b is not None else ""
-    lines = [header]
-    for i, x in enumerate(report.points):
-        if report.exact_vals is not None:
-            cells = [
-                _fmt(x), _fmt(report.exact_vals[i]), _fmt(report.approx[i]),
-                _fmt(report.abs_err[i]), _fmt(report.rel_err[i]),
-                "1" if report.rel_is_abs[i] else "0",
-            ]
-        else:
-            cells = [_fmt(x), "", _fmt(report.approx[i]), "", "", ""]
-        cells += [mae, ae_b, kappa, iters, _fmt(report.residual_max)]
-        lines.append(",".join(cells))
+    header = _POINT_COLUMNS + ("rel_is_abs", "mae", "ae_b", "kappa_inf", "newton_iters",
+                               "residual_max")
+    lines = [",".join(header)]
+    summary = _summary_cells(report) + [_fmt(report.residual_max)]
+    for i in range(len(report.points)):
+        flag = "" if report.rel_is_abs is None else ("1" if report.rel_is_abs[i] else "0")
+        lines.append(",".join(_point_cells(report, i) + [flag] + summary))
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(content)
+def _check_degree(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    return n
+
+
+def _solve_and_report(spec: ProblemSpec, n: int, alpha: float, points, exact_fn,
+                      csv_path) -> int:
+    result = solve_problem(spec, n, alpha)
+    report = build_report(spec, n, alpha, result, points, exact_fn)
+    sys.stdout.write(render_text(report))
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(render_csv(report))
+    return 0
 
 
 def _cmd_example(args) -> int:
     case = get_example(args.id)
-    result = solve_problem(case.spec, args.n, args.alpha)
-    report = build_report(case.spec, args.n, args.alpha, result, case.lattice(), case.exact)
-    sys.stdout.write(render_text(report))
-    if args.csv:
-        _write_csv(args.csv, render_csv(report))
-    return 0
+    return _solve_and_report(case.spec, _check_degree(args.n), args.alpha, case.lattice(),
+                             case.exact, args.csv)
 
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     spec = cfg.to_spec()
-    result = solve_problem(spec, cfg.n, cfg.alpha)
     points = np.linspace(0.0, spec.b, cfg.eval_points)
-    report = build_report(spec, cfg.n, cfg.alpha, result, points, cfg.exact)
-    sys.stdout.write(render_text(report))
-    if args.csv:
-        _write_csv(args.csv, render_csv(report))
-    return 0
+    return _solve_and_report(spec, cfg.n, cfg.alpha, points, cfg.exact, args.csv)
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -198,7 +201,7 @@ def _parse_n_list(text: str) -> list[int]:
         raise ValueError(f"bad degree list {text!r}: {err}") from err
     if not values:
         raise ValueError("degree list is empty")
-    return values
+    return [_check_degree(n) for n in values]
 
 
 def _parse_alpha_range(text: str) -> list[float]:
@@ -206,11 +209,16 @@ def _parse_alpha_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"alpha range must be start:step:stop, got {text!r}")
     start, step, stop = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise ValueError(f"alpha range must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"alpha range step must be positive, got {step}")
     count = int(round((stop - start) / step)) + 1
     values = [round(start + k * step, 12) for k in range(max(count, 0))]
-    return [v for v in values if v <= stop + 1e-9]
+    values = [v for v in values if v <= stop + 1e-9]
+    if not values:
+        raise ValueError(f"alpha range {text!r} is empty")
+    return values
 
 
 def _cmd_sweep(args) -> int:
@@ -222,21 +230,15 @@ def _cmd_sweep(args) -> int:
         for alpha in alphas:
             start = time.perf_counter()
             try:
-                result = solve_problem(case.spec, n, alpha)
-                runtime_ms = 1000.0 * (time.perf_counter() - start)
-                report = build_report(case.spec, n, alpha, result, case.lattice(), case.exact)
-                cells = [
-                    str(n), _fmt(alpha), _fmt(report.mae), _fmt(report.ae_b),
-                    _fmt(report.kappa_inf) if report.kappa_inf is not None else "",
-                    str(report.newton_iters) if report.newton_iters is not None else "",
-                    format(runtime_ms, ".6f"), "ok",
-                ]
+                result, status = solve_problem(case.spec, n, alpha), "ok"
             except (NonlinearSolveError, RootFindingError, np.linalg.LinAlgError) as err:
-                runtime_ms = 1000.0 * (time.perf_counter() - start)
-                status = str(err).replace(",", ";").replace("\n", " ")
-                cells = [str(n), _fmt(alpha), "", "", "", "", format(runtime_ms, ".6f"), status]
-            lines.append(",".join(cells))
-    _write_csv(args.csv, "\n".join(lines) + "\n")
+                result, status = None, str(err).replace(",", ";").replace("\n", " ")
+            runtime_ms = format(1000.0 * (time.perf_counter() - start), ".6f")
+            cells = ["", "", "", ""] if result is None else _summary_cells(
+                build_report(case.spec, n, alpha, result, case.lattice(), case.exact))
+            lines.append(",".join([str(n), _fmt(alpha)] + cells + [runtime_ms, status]))
+    with open(args.csv, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
     sys.stdout.write(f"wrote {len(lines) - 1} rows to {args.csv}\n")
     return 0
 
@@ -253,18 +255,12 @@ def _check_case_tables(case: ExampleCase, emit) -> int:
     failures = 0
     for table in case.reference_tables:
         result = solve_problem(case.spec, table.n, table.alpha)
-        points = np.asarray(table.abscissas, dtype=float)
-        approx = result.evaluate(points)
-        exact_vals = _eval_exact(case.exact, points)
-        measured = np.abs(approx - exact_vals)
-        scale = np.where(np.abs(exact_vals) < _RE_TINY, 1.0, np.abs(exact_vals))
-        measured = measured / scale
+        report = build_report(case.spec, table.n, table.alpha, result, table.abscissas,
+                              case.exact)
         limits = np.maximum(10.0 * np.asarray(table.relative_errors), _REFERENCE_FLOOR)
-        exact_b = float(_eval_exact(case.exact, np.array([case.spec.b]))[0])
-        end_measured = abs(float(result.y_nodes[0]) - exact_b)
         end_limit = max(10.0 * table.endpoint_abs_error, _REFERENCE_FLOOR)
-        ok = bool(np.all(measured <= limits)) and end_measured <= end_limit
-        worst = max(float(np.max(measured / limits)), end_measured / end_limit)
+        ok = bool(np.all(report.rel_err <= limits)) and report.ae_b <= end_limit
+        worst = max(float(np.max(report.rel_err / limits)), report.ae_b / end_limit)
         emit(
             f"reference example {case.id} (n={table.n}, alpha={table.alpha}): "
             f"{len(table.abscissas)} points + endpoint, worst measured/limit "
@@ -318,10 +314,10 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="scan an (n, alpha) grid and emit CSV")
     p_sweep.add_argument("id", type=int, choices=range(1, 6))
-    p_sweep.add_argument("--n", required=True, help="comma-separated degrees, e.g. 4,8,16")
-    p_sweep.add_argument(
-        "--alpha-range", required=True, help="start:step:stop, e.g. -0.4:0.1:2"
-    )
+    p_sweep.add_argument("--n", default="4,8,16,32,64,128",
+                         help="comma-separated degrees (default: %(default)s)")
+    p_sweep.add_argument("--alpha-range", default="-0.4:0.1:2",
+                         help="start:step:stop (default: %(default)s)")
     p_sweep.add_argument("--csv", required=True, help="output CSV path")
 
     p_solve = sub.add_parser("solve", help="solve a problem described by a config file")

@@ -57,6 +57,13 @@ class TestExample:
         assert code == 1
         assert "error:" in err
 
+    def test_degree_below_one_is_an_error(self, capsys):
+        code, out, err = run(capsys, "example", "1", "--n", "0", "--alpha", "0.5")
+        assert code == 1 and out == ""
+        assert "n must be at least 1" in err
+        code, _, _ = run(capsys, "nodes", "--n", "0", "--alpha", "0.5", "--b", "1")
+        assert code == 0  # a one-node rule is still a valid quadrature dump
+
 
 class TestNodes:
     def test_dump_shape_and_endpoint(self, capsys):
@@ -99,12 +106,32 @@ class TestSweep:
         assert all(r["kappa_inf"] == "" for r in rows)
         assert all(int(r["newton_iters"]) >= 1 for r in rows)
 
+    def test_default_grid(self, capsys, tmp_path):
+        path = tmp_path / "default.csv"
+        code, out, _ = run(capsys, "sweep", "1", "--csv", str(path))
+        assert code == 0 and "150 rows" in out
+        rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
+        assert {int(r["n"]) for r in rows} == {4, 8, 16, 32, 64, 128}
+        alphas = sorted({float(r["alpha"]) for r in rows})
+        assert len(alphas) == 25 and alphas[0] == -0.4 and alphas[-1] == 2.0
+        assert {r["status"] for r in rows} == {"ok"}
+
     def test_malformed_range_is_an_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "sweep", "1", "--n", "4",
-                           "--alpha-range", "0.5:0.1", "--csv",
-                           str(tmp_path / "x.csv"))
+        # too few fields, an empty range (start > stop), a non-finite step
+        for text in ("0.5:0.1", "2:0.1:1", "0:nan:1"):
+            path = tmp_path / "x.csv"
+            code, _, err = run(capsys, "sweep", "1", "--n", "4",
+                               "--alpha-range", text, "--csv", str(path))
+            assert code == 1
+            assert "error:" in err and "alpha range" in err
+            assert not path.exists()
+
+    def test_degree_below_one_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "1", "--n", "4,0", "--csv", str(path))
         assert code == 1
-        assert "error:" in err
+        assert "n must be at least 1" in err
+        assert not path.exists()
 
 
 class TestSolve:
@@ -122,10 +149,16 @@ class TestSolve:
             "eval_points = 5\n",
             encoding="utf-8",
         )
-        code, out, _ = run(capsys, "solve", "--config", str(cfg))
+        path = tmp_path / "plain.csv"
+        code, out, _ = run(capsys, "solve", "--config", str(cfg), "--csv", str(path))
         assert code == 0
         assert "y_approx" in out
         assert "mae" not in out
+        rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
+        assert len(rows) == 5
+        blank = ("y_exact", "abs_error", "rel_error", "rel_is_abs", "mae", "ae_b")
+        assert all(r[key] == "" for r in rows for key in blank)
+        assert all(r["x"] and r["y_approx"] and r["kappa_inf"] for r in rows)
 
     def test_parse_error_exits_with_diagnostics(self, capsys, tmp_path):
         cfg = tmp_path / "broken.cfg"
