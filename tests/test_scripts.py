@@ -6,16 +6,13 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_reproduce_tables_matches_stored_errors(capsys, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_tables", SCRIPTS / "reproduce_tables.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
     path = tmp_path / "tables.csv"
-    assert load_script("reproduce_tables").main(["--csv", str(path)]) == 0
+    assert script.main(["--csv", str(path)]) == 0
     assert "wrote 53 rows" in capsys.readouterr().out
     rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == 53
