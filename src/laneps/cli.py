@@ -29,6 +29,8 @@ __all__ = ["main"]
 _RE_TINY = 1e-13
 #: Reference comparisons: measured <= max(10 * stored, this floor).
 _REFERENCE_FLOOR = 1e-12
+#: Most alpha values one sweep range may hold.
+_MAX_ALPHAS = 10_000
 
 
 def _fmt(value) -> str:
@@ -213,8 +215,11 @@ def _parse_alpha_range(text: str) -> list[float]:
         raise ValueError(f"alpha range must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"alpha range step must be positive, got {step}")
-    count = int(round((stop - start) / step)) + 1
-    values = [round(start + k * step, 12) for k in range(max(count, 0))]
+    span = (stop - start) / step
+    if span >= _MAX_ALPHAS:  # checked before any value is built
+        raise ValueError(f"alpha range {text!r} holds more than {_MAX_ALPHAS} values")
+    count = int(round(max(span, -1.0))) + 1
+    values = [round(start + k * step, 12) for k in range(count)]
     values = [v for v in values if v <= stop + 1e-9]
     if not values:
         raise ValueError(f"alpha range {text!r} is empty")
@@ -226,7 +231,7 @@ def _cmd_sweep(args) -> int:
     ns = _parse_n_list(args.n)
     alphas = _parse_alpha_range(args.alpha_range)
     lines = ["n,alpha,mae,ae_b,kappa_inf,newton_iters,runtime_ms,status"]
-    for n in sorted(ns):
+    for n in sorted(set(ns)):
         for alpha in alphas:
             start = time.perf_counter()
             try:

@@ -17,10 +17,14 @@ For beta != 0 (Robin) the right-endpoint condition eliminates y(0): z = Phi
 and y = xbar + Theta Phi.  For beta = 0 (Neumann) y(0) is an extra unknown:
 z = (Phi, y0), y = a1*x + Q2 Phi + y0, and F gains the border row
 Q1[0] Phi = delta/gamma - a1.  A linear problem is solved by one exact Newton
-step from z = 0; a nonlinear one by damped Newton from z = 0, restarted once
-from that same full step if it fails.  An exactly singular J (p = 0 on the
-Neumann branch leaves y(0) free) gets the minimum-norm least-squares step and
-kappa_inf = inf.
+step from z = 0; a nonlinear one by one damped Newton run from z = 0.  Newton
+stops when the residual or the step falls to _NEWTON_TOL.  If the line search
+stalls first, z counts as converged only when max|F(z)| is at the rounding
+level of evaluating F (4 eps times the largest row of |H||Phi| + |f| +
+|a1*a2/x|, plus the border row on the Neumann branch) and the Newton step is
+below sqrt(eps)*max|z|; otherwise NonlinearSolveError is raised.  An exactly
+singular J (p = 0 on the Neumann branch leaves y(0) free) gets the
+minimum-norm least-squares step and kappa_inf = inf.
 """
 from __future__ import annotations
 
@@ -46,6 +50,10 @@ _NEWTON_TOL = 1e-13
 _NEWTON_MAXITER = 200
 _ARMIJO_HALVINGS = 30
 _FD_STEP = 1e-7
+#: A stalled line search converged if max|F| <= _FLOOR_FACTOR * eps * (largest
+#: row of |terms| of F) and max|step| <= _STEP_RTOL * max|z|.
+_FLOOR_FACTOR = 4.0
+_STEP_RTOL = math.sqrt(np.finfo(float).eps)
 
 
 class NonlinearSolveError(RuntimeError):
@@ -160,8 +168,12 @@ def _dfdy_or_fd(spec: ProblemSpec) -> Callable:
     return fd
 
 
-def _damped_newton(residual_fn, jacobian_fn, z0: np.ndarray):
-    """Newton iteration with Armijo backtracking on the max-norm residual."""
+def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
+    """Newton iteration with Armijo backtracking on the max-norm residual.
+
+    ``scale_fn(z)`` is the largest row sum of the magnitudes of the terms of
+    F(z); it sets the rounding floor that ends a stalled line search.
+    """
     z = np.asarray(z0, dtype=float).copy()
     steps: list[float] = []
     fval = residual_fn(z)
@@ -174,15 +186,21 @@ def _damped_newton(residual_fn, jacobian_fn, z0: np.ndarray):
         step = _linear_step(jacobian_fn(z), -fval)
         t = 1.0
         for _ in range(_ARMIJO_HALVINGS + 1):
-            trial = z + t * step
-            f_trial = residual_fn(trial)
-            f_trial_norm = float(np.max(np.abs(f_trial)))
+            # A trial step may overflow f; the isfinite test rejects it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = z + t * step
+                f_trial = residual_fn(trial)
+                f_trial_norm = float(np.max(np.abs(f_trial)))
             if np.isfinite(f_trial_norm) and f_trial_norm <= (1.0 - 1e-4 * t) * fnorm:
                 break
             t *= 0.5
         else:
+            floor = _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z)
+            if fnorm <= floor and np.max(np.abs(step)) <= _STEP_RTOL * np.max(np.abs(z)):
+                return z, it - 1, steps
             raise NonlinearSolveError(
-                f"line search stalled at iteration {it} (residual {fnorm:.3e})"
+                f"line search stalled at iteration {it} "
+                f"(residual {fnorm:.3e}, rounding floor {floor:.3e})"
             )
         z, fval, fnorm = trial, f_trial, f_trial_norm
         steps.append(float(np.max(np.abs(t * step))))
@@ -244,22 +262,19 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
             jac[m, :m] = q1[0]
         return jac
 
+    def scale(z):
+        rows = np.abs(h) @ np.abs(z[:m]) + np.abs(f(x, y_map(z))) + np.abs(sing)
+        if not robin:
+            rows = np.append(rows, np.abs(q1[0]) @ np.abs(z[:m]) + abs(border))
+        return float(np.max(rows))
+
     z0 = np.zeros(m if robin else m + 1)
-
-    def full_step(jac):
-        return z0 + _linear_step(jac, -residual(z0))
-
     if spec.kind == "linear":
         jac = jacobian(z0)
-        z = full_step(jac)
+        z = z0 + _linear_step(jac, -residual(z0))
         diag = {"kappa_inf": _condition_inf(jac)}
     else:
-        try:
-            z, iters, steps = _damped_newton(residual, jacobian, z0)
-        except NonlinearSolveError:
-            # Retry once from the full Newton step off z = 0, which solves the
-            # problem linearized about y_map(0).
-            z, iters, steps = _damped_newton(residual, jacobian, full_step(jacobian(z0)))
+        z, iters, steps = _damped_newton(residual, jacobian, scale, z0)
         diag = {"newton_iters": iters, "step_norms": tuple(steps)}
 
     phi = z[:m]

@@ -1,5 +1,6 @@
 """End-to-end tests for the benchmark command line."""
 import csv
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,13 @@ class TestExample:
         assert code == 1
         assert "error:" in err
 
+    def test_nonconvergence_exits_nonzero_without_warning(self, capsys):
+        # A one-node scheme for example 4 has no solution; trial steps
+        # overflow exp on the way, and no RuntimeWarning may leak.
+        code, out, err = run(capsys, "example", "4", "--n", "1", "--alpha", "0")
+        assert code == 1 and out == ""
+        assert "error: line search stalled" in err
+
     def test_degree_below_one_is_an_error(self, capsys):
         code, out, err = run(capsys, "example", "1", "--n", "0", "--alpha", "0.5")
         assert code == 1 and out == ""
@@ -85,13 +93,13 @@ class TestNodes:
 class TestSweep:
     def test_grid_rows_sorted_and_complete(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
-        code, out, _ = run(capsys, "sweep", "1", "--n", "8,4",
+        code, out, _ = run(capsys, "sweep", "1", "--n", "8,4,8",
                            "--alpha-range", "-0.4:0.2:0.2", "--csv", str(path))
         assert code == 0
-        assert "8 rows" in out
+        assert "8 rows" in out  # the repeated degree is swept once
         rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
         keys = [(int(r["n"]), float(r["alpha"])) for r in rows]
-        assert keys == sorted(keys)
+        assert keys == sorted(set(keys))
         assert {r["status"] for r in rows} == {"ok"}
         assert all(float(r["mae"]) < 1e-3 for r in rows)
         assert all(float(r["runtime_ms"]) >= 0.0 for r in rows)
@@ -117,14 +125,33 @@ class TestSweep:
         assert {r["status"] for r in rows} == {"ok"}
 
     def test_malformed_range_is_an_error(self, capsys, tmp_path):
-        # too few fields, an empty range (start > stop), a non-finite step
-        for text in ("0.5:0.1", "2:0.1:1", "0:nan:1"):
+        # too few fields, an empty range (start > stop), a non-finite step,
+        # and two ranges whose value count overflows to -inf and +inf
+        for text in ("0.5:0.1", "2:0.1:1", "0:nan:1", "1e308:1e-308:-1e308",
+                     "0:1e-300:1e300"):
             path = tmp_path / "x.csv"
             code, _, err = run(capsys, "sweep", "1", "--n", "4",
                                "--alpha-range", text, "--csv", str(path))
             assert code == 1
             assert "error:" in err and "alpha range" in err
             assert not path.exists()
+
+    def test_oversized_range_fails_at_once(self, tmp_path):
+        # About 1e12 values.  The address-space cap turns a regression that
+        # builds the list into a MemoryError instead of a full machine.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        path = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "laneps", "sweep", "1", "--alpha-range", "0:1e-12:1",
+             "--csv", str(path)],
+            capture_output=True, text=True, check=False, timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 1
+        assert "alpha range '0:1e-12:1' holds more than 10000 values" in proc.stderr
+        assert not path.exists()
 
     def test_degree_below_one_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "x.csv"

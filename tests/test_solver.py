@@ -143,8 +143,35 @@ class TestNewton:
             delta=0.0, b=1.0, f=lambda x, y: np.exp(60.0 * y) - 1e6,
         )
         with pytest.raises(NonlinearSolveError):
-            with np.errstate(over="ignore", invalid="ignore"):
-                solve_problem(spec, 8, 0.5)
+            solve_problem(spec, 8, 0.5)
+
+    @pytest.mark.parametrize("ex_id,n,alpha", [(2, 64, 5.0), (4, 64, 5.0), (4, 96, 3.0),
+                                               (2, 256, 3.0)])
+    def test_stall_at_the_rounding_floor_converges(self, ex_id, n, alpha):
+        # The line search stalls with max|F| above _NEWTON_TOL but within the
+        # rounding level of evaluating F, and with a roundoff-sized step.
+        case = get_example(ex_id)
+        r = solve_problem(case.spec, n, alpha)
+        assert r.newton_iters == len(r.step_norms)
+        assert np.max(np.abs(r.y_nodes - case.exact(r.nodes))) <= 1e-11
+
+    @pytest.mark.parametrize("ex_id,n,alpha", [(2, 64, 20.0), (2, 128, 20.0), (4, 64, 20.0),
+                                               (4, 128, 20.0), (5, 64, 20.0), (5, 128, 20.0),
+                                               (2, 1, 0.0)])
+    def test_stall_above_the_rounding_floor_raises(self, ex_id, n, alpha):
+        with pytest.raises(NonlinearSolveError, match="line search stalled.*rounding floor"):
+            solve_problem(get_example(ex_id).spec, n, alpha)
+
+    def test_overflowing_trial_step_raises_without_warning(self):
+        # Spherical Bratu past its fold near lambda = 3.32: a trial step
+        # overflows exp, which the line search must reject silently.
+        spec = ProblemSpec(
+            kind="nonlinear", alpha1=0.0, alpha2=2.0, beta=1.0, gamma=0.0,
+            delta=0.0, b=1.0, f=lambda x, y: 3.4 * np.exp(y),
+            dfdy=lambda x, y: 3.4 * np.exp(y),
+        )
+        with pytest.raises(NonlinearSolveError, match="line search stalled"):
+            solve_problem(spec, 32, 0.5)
 
 
 class TestResidual:
