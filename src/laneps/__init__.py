@@ -25,7 +25,6 @@ from .bounds import (
     bound_q2_error,
     bound_residual,
     bound_solution_error,
-    gegenbauer_sup_norm,
     prefactor,
     q_sup_norm,
 )
@@ -38,7 +37,6 @@ from .quadrature import (
     build_q2,
     integrate_basis,
     interpolate,
-    interpolation_matrix,
     shift_operators,
 )
 from .registry import (
@@ -89,11 +87,9 @@ __all__ = [
     "christoffel_weights",
     "eval_gegenbauer",
     "gauss_radau_nodes",
-    "gegenbauer_sup_norm",
     "get_example",
     "integrate_basis",
     "interpolate",
-    "interpolation_matrix",
     "load_config",
     "node_polynomial",
     "normalization",

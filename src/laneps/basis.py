@@ -61,7 +61,10 @@ class NodeSet:
     nodes are strictly descending, starting at the right endpoint of
     ``interval``.  ``weights`` are the Gauss-Radau Christoffel weights against
     the Gegenbauer weight function; ``lambdas`` are the squared norms of
-    G_0 .. G_n against the same weight.
+    G_0 .. G_n against the same weight.  ``bary`` are the barycentric
+    interpolation weights 1/q_n'(x_k) of the standard nodes: the nodes are the
+    n+1 roots of q_n, and an affine map scales every weight by one factor,
+    which cancels in the barycentric formula.
     """
 
     alpha: float
@@ -69,10 +72,11 @@ class NodeSet:
     nodes: np.ndarray
     weights: np.ndarray
     lambdas: np.ndarray
+    bary: np.ndarray
     interval: tuple[float, float]
 
     def __post_init__(self):
-        for arr in (self.nodes, self.weights, self.lambdas):
+        for arr in (self.nodes, self.weights, self.lambdas, self.bary):
             arr.setflags(write=False)
 
     @property
@@ -180,20 +184,22 @@ def christoffel_weights(cfg: BasisConfig, nodes: np.ndarray) -> np.ndarray:
 
 
 def standard_nodeset(cfg: BasisConfig) -> NodeSet:
-    """Nodes, weights and basis norms on the standard interval [-1, 1]."""
+    """Nodes, weights, basis norms and barycentric weights on [-1, 1]."""
     nodes = gauss_radau_nodes(cfg)
     weights = christoffel_weights(cfg, nodes)
     lambdas = np.array([normalization(cfg.alpha, j) for j in range(cfg.n + 1)])
-    return NodeSet(cfg.alpha, cfg.n, nodes, weights, lambdas, (-1.0, 1.0))
+    bary = 1.0 / node_polynomial(cfg.alpha, cfg.n, nodes)[1]
+    return NodeSet(cfg.alpha, cfg.n, nodes, weights, lambdas, bary, (-1.0, 1.0))
 
 
 def shift_nodeset(nodeset: NodeSet, b: float) -> NodeSet:
     """Map a standard nodeset onto [0, b]: x -> (b/2)(x+1), scales by (b/2)^(2a).
 
-    Both the weights and the basis norms pick up the same (b/2)^(2a) factor,
-    so weight/norm ratios (hence the cardinal interpolation functions) are
-    unchanged by the shift.
+    Both the weights and the basis norms pick up the same (b/2)^(2a) factor.
+    The barycentric weights pass through unchanged: their scale cancels.
     """
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     if b <= 0:
         raise ValueError(f"interval length must be positive, got {b}")
     if nodeset.interval != (-1.0, 1.0):
@@ -205,5 +211,6 @@ def shift_nodeset(nodeset: NodeSet, b: float) -> NodeSet:
         (b / 2.0) * (nodeset.nodes + 1.0),
         factor * nodeset.weights,
         factor * nodeset.lambdas,
+        nodeset.bary,
         (0.0, b),
     )

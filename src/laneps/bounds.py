@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "BoundInputs",
     "q_sup_norm",
-    "gegenbauer_sup_norm",
     "prefactor",
     "bound_q1_error",
     "bound_q2_error",
@@ -53,6 +52,9 @@ class BoundInputs:
     m_sup: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "b", "a", "a0", "a1", "lambda_lip", "m_sup"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > -0.5:
             raise ValueError(f"basis parameter must exceed -1/2, got {self.alpha}")
         if self.n < 0 or self.b <= 0:
@@ -85,34 +87,6 @@ def q_sup_norm(alpha: float, n: int) -> float:
         - 0.5 * math.log(math.pi)
         - math.lgamma(n / 2 + alpha + 1)
     ) * (math.sqrt(n * (2 * alpha + n)) + n)
-
-
-def gegenbauer_sup_norm(alpha: float, n: int) -> float:
-    """Sup of |G_n| on [-1, 1]: exactly 1 for a >= 0 (attained at x = 1).
-
-    For -1/2 < a < 0 the even-degree value is the exact midpoint value
-    |G_n(0)|; the odd-degree expression bounds the interior extremum.
-    """
-    if alpha >= 0 or n == 0:
-        return 1.0
-    if n % 2 == 0:
-        m = n // 2
-        return math.exp(
-            math.lgamma(alpha + m)
-            - math.lgamma(m + 1)
-            - math.lgamma(alpha)
-            + math.lgamma(n + 1)
-            + math.lgamma(2 * alpha)
-            - math.lgamma(n + 2 * alpha)
-        )
-    return math.exp(
-        math.log(n)
-        + math.lgamma(alpha + 0.5)
-        + math.lgamma(n / 2)
-        - 0.5 * math.log(math.pi)
-        - 0.5 * math.log(n * (2 * alpha + n))
-        - math.lgamma(n / 2 + alpha)
-    )
 
 
 def prefactor(alpha: float, n: int, b: float) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "build_q2",
     "shift_operators",
     "build_operators",
-    "interpolation_matrix",
     "interpolate",
 ]
 
@@ -133,23 +132,18 @@ def build_operators(cfg: BasisConfig, b: float = 1.0) -> IntegrationOperators:
     return shift_operators(q1, standard, b)
 
 
-def interpolation_matrix(nodeset: NodeSet, x) -> np.ndarray:
-    """Cardinal interpolation matrix L with L[k, j] mapping f(x_k) to p(x_j).
+def interpolate(nodeset: NodeSet, values: np.ndarray, x) -> np.ndarray:
+    """Evaluate the degree-n interpolant of node values at new points x.
 
-    p is the degree-n basis interpolant through the node values; column j
-    evaluates it at x[j].  Works for standard and shifted nodesets alike since
-    the weight/norm scale factor cancels in w_k G_m(x_k) G_m(x) / lambda_m.
+    Uses the barycentric formula of the second kind (Berrut & Trefethen, SIAM
+    Review 46, 2004) on ``nodeset.bary``.  A point that equals a node returns
+    that node's value exactly.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    a, b = nodeset.interval
-    half = (b - a) / 2.0
-    t_nodes = (nodeset.nodes - a) / half - 1.0
-    t_x = (x - a) / half - 1.0
-    g_nodes = eval_gegenbauer(nodeset.alpha, nodeset.n, t_nodes)
-    g_x = eval_gegenbauer(nodeset.alpha, nodeset.n, t_x)
-    return ((g_nodes / nodeset.lambdas[:, None]).T @ g_x) * nodeset.weights[:, None]
-
-
-def interpolate(nodeset: NodeSet, values: np.ndarray, x) -> np.ndarray:
-    """Evaluate the basis interpolant of node values at new points x."""
-    return np.asarray(values) @ interpolation_matrix(nodeset, x)
+    diff = x[:, None] - nodeset.nodes[None, :]
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        c = nodeset.bary / diff
+    on_node = hit.any(axis=1)
+    c[on_node] = hit[on_node]
+    return (c @ np.asarray(values)) / c.sum(axis=1)

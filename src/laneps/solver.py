@@ -129,13 +129,12 @@ class SolverResult:
     def evaluate(self, x) -> np.ndarray:
         """Evaluate the approximate solution at arbitrary points of [0, b].
 
-        Interior points use the basis interpolant of the node values; the
-        endpoints return the recovered y(0) and the node value at b directly.
+        x = 0 returns the recovered y(0).  Every other point gets the
+        barycentric interpolant of the node values, which is a node's value
+        at that node (y at b included).
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = interpolate(self.nodeset, self.y_nodes, x)
-        out = np.where(x == self.nodeset.b, self.y_nodes[0], out)
-        return np.where(x == 0.0, self.y0, out)
+        return np.where(x == 0.0, self.y0, interpolate(self.nodeset, self.y_nodes, x))
 
 
 def _condition_inf(a: np.ndarray) -> float:

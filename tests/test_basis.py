@@ -168,6 +168,12 @@ class TestShifting:
         factor = (b / 2.0) ** (2.0 * 0.7)
         assert np.allclose(shifted.weights, factor * ns.weights, rtol=1e-14)
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf])
+    def test_rejects_non_finite_length(self, b):
+        ns = standard_nodeset(BasisConfig(0.5, 2))
+        with pytest.raises(ValueError, match="b must be finite"):
+            shift_nodeset(ns, b)
+
     def test_b_two_is_a_pure_translation(self):
         ns = standard_nodeset(BasisConfig(1.1, 8))
         shifted = shift_nodeset(ns, 2.0)

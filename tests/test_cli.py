@@ -84,6 +84,13 @@ class TestNodes:
         assert first[0] == "0" and float(first[1]) == 1.5
         assert all(float(line.split(",")[2]) > 0.0 for line in lines[1:])
 
+    @pytest.mark.parametrize("b", ["nan", "inf"])
+    def test_non_finite_length_is_an_error(self, capsys, b):
+        code, out, err = run(capsys, "nodes", "--n", "2", "--alpha", "0.5", "--b", b)
+        assert code == 1
+        assert out == ""
+        assert "b must be finite" in err
+
     def test_dump_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "nodes", "--n", "12", "--alpha", "-0.4", "--b", "2")
         _, second, _ = run(capsys, "nodes", "--n", "12", "--alpha", "-0.4", "--b", "2")

@@ -1,18 +1,20 @@
 """Tests for integration operators, basis antiderivatives, and interpolation."""
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from laneps import quadrature
-from laneps.basis import BasisConfig, standard_nodeset
+from laneps.basis import BasisConfig, shift_nodeset, standard_nodeset
 from laneps.quadrature import (
     build_operators,
     build_q1,
     eval_gegenbauer,
     integrate_basis,
     interpolate,
-    interpolation_matrix,
     shift_operators,
 )
 
@@ -154,8 +156,58 @@ class TestInterpolation:
     @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
     def test_cardinal_at_the_nodes(self, alpha):
         ns = standard_nodeset(BasisConfig(alpha, 9))
-        lmat = interpolation_matrix(ns, ns.nodes)
+        lmat = np.array([interpolate(ns, unit, ns.nodes) for unit in np.eye(10)])
         assert np.max(np.abs(lmat - np.eye(10))) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 512])
+    @pytest.mark.parametrize("alpha", [-0.499, 0.0, 0.5, 2.0, 5.0])
+    def test_returns_node_values_bit_for_bit(self, alpha, n):
+        standard = standard_nodeset(BasisConfig(alpha, n))
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        for b in B_GRID:
+            ns = shift_nodeset(standard, b)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = interpolate(ns, values, ns.nodes)
+            assert np.array_equal(out, values)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64, 256, 512])
+    @pytest.mark.parametrize("alpha", [-0.499, 0.0, 0.5, 2.0])
+    def test_reproduces_chebyshev_polynomials(self, alpha, n):
+        """T_d(2x/b - 1) for d = n/2 and n, on 1000 points of (0, b].
+
+        x = 0 is left out: it lies outside the nodes, and the solver returns
+        its recovered y(0) there instead of the interpolant.
+        """
+        standard = standard_nodeset(BasisConfig(alpha, n))
+        for b in B_GRID:
+            ns = shift_nodeset(standard, b)
+            x = np.linspace(0.0, b, 1001)[1:]
+            for d in {n // 2, n}:
+                values = np.cos(d * np.arccos(2.0 * ns.nodes / b - 1.0))
+                expected = np.cos(d * np.arccos(2.0 * x / b - 1.0))
+                assert np.max(np.abs(interpolate(ns, values, x) - expected)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [3, 9, 16])
+    @pytest.mark.parametrize("alpha", [-0.499, 0.0, 0.5, 2.0, 5.0])
+    def test_cardinal_functions_match_lagrange_products(self, alpha, n):
+        """Interpolating the k-th unit vector gives prod_{j != k} (x - x_j)/(x_k - x_j).
+
+        Checked on (0, b], like the Chebyshev polynomials above, to 1e-13 of
+        the function's size: at alpha = 5 it reaches 26 below the lowest node.
+        """
+        ns = shift_nodeset(standard_nodeset(BasisConfig(alpha, n)), 1.5)
+        x = np.linspace(0.0, 1.5, 41)[1:]
+        with mpmath.workdps(50):
+            nodes = [mpmath.mpf(float(t)) for t in ns.nodes]
+            for k, unit in enumerate(np.eye(n + 1)):
+                exact = np.array([
+                    float(mpmath.fprod((mpmath.mpf(float(t)) - xj) / (nodes[k] - xj)
+                                       for j, xj in enumerate(nodes) if j != k))
+                    for t in x
+                ])
+                size = max(1.0, float(np.max(np.abs(exact))))
+                assert np.max(np.abs(interpolate(ns, unit, x) - exact)) <= 1e-13 * size
 
     @pytest.mark.parametrize("b", B_GRID)
     def test_reproduces_polynomials(self, b):

@@ -205,6 +205,13 @@ class TestResultInterface:
         x = np.linspace(0.0, 1.0, 17)
         assert np.max(np.abs(r.evaluate(x) - (x**2 - 2.0))) <= 1e-10
 
+    @pytest.mark.parametrize("ex_id, n, limit", [(1, 256, 1e-12), (3, 64, 2e-12)])
+    def test_lattice_error_keeps_the_node_accuracy(self, ex_id, n, limit):
+        case = get_example(ex_id)
+        r = solve_problem(case.spec, n, -0.499)
+        lattice = case.lattice()
+        assert np.max(np.abs(r.evaluate(lattice) - case.exact(lattice))) <= limit
+
     def test_origin_recovery_matches_reference_accuracy(self):
         case = get_example(1)
         r = solve_problem(case.spec, 5, 0.1)
