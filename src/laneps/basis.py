@@ -79,10 +79,6 @@ class NodeSet:
         for arr in (self.nodes, self.weights, self.lambdas, self.bary):
             arr.setflags(write=False)
 
-    @property
-    def b(self) -> float:
-        return self.interval[1]
-
 
 def eval_gegenbauer(alpha: float, m: int, x) -> np.ndarray:
     """Evaluate G_0 .. G_m at x; returns shape (m+1,) + shape(x)."""
@@ -98,18 +94,18 @@ def eval_gegenbauer(alpha: float, m: int, x) -> np.ndarray:
 
 
 def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate q_n = G_{n+1} - G_n and its derivative with O(1) row storage."""
-    _check_alpha(alpha)
-    x = np.asarray(x, dtype=float)
-    g_prev, g = np.ones_like(x), x.copy()
+    """Evaluate q_n = G_{n+1} - G_n and its derivative from the table of G_0 .. G_{n+1}."""
+    g = eval_gegenbauer(alpha, n + 1, x)
+    return g[n + 1] - g[n], _node_derivative(alpha, g)
+
+
+def _node_derivative(alpha: float, g: np.ndarray) -> np.ndarray:
+    """q_n' at x = g[1] by the differentiated recurrence over the table G_0 .. G_{n+1}."""
+    x = g[1]
     d_prev, d = np.zeros_like(x), np.ones_like(x)
-    if n == 0:
-        return g - g_prev, d - d_prev
-    for k in range(1, n + 1):
-        g_next = (2 * (k + alpha) * x * g - k * g_prev) / (k + 2 * alpha)
-        d_next = (2 * (k + alpha) * (g + x * d) - k * d_prev) / (k + 2 * alpha)
-        g_prev, g, d_prev, d = g, g_next, d, d_next
-    return g - g_prev, d - d_prev
+    for k in range(1, len(g) - 1):
+        d_prev, d = d, (2 * (k + alpha) * (g[k] + x * d) - k * d_prev) / (k + 2 * alpha)
+    return d - d_prev
 
 
 def normalization(alpha: float, n: int) -> float:
@@ -163,14 +159,14 @@ def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
     return nodes
 
 
-def christoffel_weights(cfg: BasisConfig, nodes: np.ndarray) -> np.ndarray:
+def christoffel_weights(cfg: BasisConfig, nodes: np.ndarray, g_n: np.ndarray) -> np.ndarray:
     """Gauss-Radau quadrature weights against the Gegenbauer weight function.
 
-    The rule integrates polynomials of degree <= 2n exactly; the fixed
-    endpoint's weight carries the extra factor a + 1/2.
+    ``g_n`` holds G_n at the nodes.  The rule integrates polynomials of
+    degree <= 2n exactly; the fixed endpoint's weight carries the extra
+    factor a + 1/2.
     """
     alpha, n = cfg.alpha, cfg.n
-    g_n = eval_gegenbauer(alpha, n, nodes)[n]
     scale = math.exp(
         (2 * alpha - 1) * math.log(2)
         + 2 * math.lgamma(alpha + 0.5)
@@ -186,9 +182,10 @@ def christoffel_weights(cfg: BasisConfig, nodes: np.ndarray) -> np.ndarray:
 def standard_nodeset(cfg: BasisConfig) -> NodeSet:
     """Nodes, weights, basis norms and barycentric weights on [-1, 1]."""
     nodes = gauss_radau_nodes(cfg)
-    weights = christoffel_weights(cfg, nodes)
+    g = eval_gegenbauer(cfg.alpha, cfg.n + 1, nodes)
+    weights = christoffel_weights(cfg, nodes, g[cfg.n])
     lambdas = np.array([normalization(cfg.alpha, j) for j in range(cfg.n + 1)])
-    bary = 1.0 / node_polynomial(cfg.alpha, cfg.n, nodes)[1]
+    bary = 1.0 / _node_derivative(cfg.alpha, g)
     return NodeSet(cfg.alpha, cfg.n, nodes, weights, lambdas, bary, (-1.0, 1.0))
 
 

@@ -38,8 +38,7 @@ class BoundInputs:
     ``a`` is the sup of the (n+1)-th derivative of the integrand (single-sup
     bounds); ``a0``/``a1`` are the paired sups entering the two-term bounds
     (orders n and n+1 for quadrature, n+2 and n+3 for solution errors);
-    ``lambda_lip`` is a Lipschitz constant of f in y and ``m_sup`` the sup of
-    |p| for linear problems.
+    ``lambda_lip`` is a Lipschitz constant of f in y (sup|p| when f = p y - g).
     """
 
     n: int
@@ -49,17 +48,16 @@ class BoundInputs:
     a0: float = 0.0
     a1: float = 0.0
     lambda_lip: float = 0.0
-    m_sup: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "b", "a", "a0", "a1", "lambda_lip", "m_sup"):
+        for name in ("alpha", "b", "a", "a0", "a1", "lambda_lip"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > -0.5:
             raise ValueError(f"basis parameter must exceed -1/2, got {self.alpha}")
         if self.n < 0 or self.b <= 0:
             raise ValueError("need n >= 0 and b > 0")
-        for name in ("a", "a0", "a1", "lambda_lip", "m_sup"):
+        for name in ("a", "a0", "a1", "lambda_lip"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -152,31 +150,18 @@ def bound_derivative_error(inputs: BoundInputs, x) -> np.ndarray:
     return np.where(x == inputs.b, 0.0, c * inputs.a * x)
 
 
-def bound_residual(
-    inputs: BoundInputs,
-    x,
-    mode: str,
-    alpha2: float,
-    beta: float,
-    gamma: float,
-) -> np.ndarray:
+def bound_residual(inputs: BoundInputs, x, alpha2: float, beta: float, gamma: float) -> np.ndarray:
     """Bound on the collocated residual when the right BC involves y(b).
 
-    ``mode`` selects the growth constant: "nonlinear" uses the Lipschitz
-    constant of f in y, "linear" the sup of |p|.  ``inputs.a0``/``a1`` bound
-    the (n+2)-th and (n+3)-th solution derivatives.
+    The growth constant is the Lipschitz constant ``inputs.lambda_lip``;
+    ``inputs.a0``/``a1`` bound the (n+2)-th and (n+3)-th solution derivatives.
     """
-    if mode == "nonlinear":
-        growth = inputs.lambda_lip
-    elif mode == "linear":
-        growth = inputs.m_sup
-    else:
-        raise ValueError(f"mode must be 'nonlinear' or 'linear', got {mode!r}")
     if beta == 0:
         raise ValueError("residual bound requires beta != 0")
     c = prefactor(inputs.alpha, inputs.n, inputs.b)
     x = _as_points(x)
     ratio = abs(gamma / beta)
+    growth = inputs.lambda_lip
     return c * (
         inputs.a1 * (inputs.b * growth * (x + ratio + inputs.b) + abs(alpha2))
         + inputs.a0 * growth * (inputs.n + 1) * (x + inputs.b)

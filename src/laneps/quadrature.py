@@ -49,10 +49,6 @@ class IntegrationOperators:
         """Collocation abscissas on [0, b], descending from b."""
         return self.shifted.nodes
 
-    @property
-    def b(self) -> float:
-        return self.shifted.b
-
 
 def integrate_basis(alpha: float, m: int, x) -> np.ndarray:
     """Antiderivatives of G_0 .. G_m vanishing at -1, evaluated at x.
@@ -66,15 +62,19 @@ def integrate_basis(alpha: float, m: int, x) -> np.ndarray:
     which follows from integrating the three-term recurrence.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = eval_gegenbauer(alpha, m + 1, x)
+    return _antiderivatives(alpha, eval_gegenbauer(alpha, m + 1, x))
+
+
+def _antiderivatives(alpha: float, g: np.ndarray) -> np.ndarray:
+    """Rows 0 .. m of ``integrate_basis`` from the table G_0 .. G_{m+1} at x = g[1]."""
+    x, m = g[1], len(g) - 2
     out = np.empty((m + 1, x.size))
     out[0] = x + 1.0
-    if m >= 1:
-        out[1] = (x * x - 1.0) / 2.0
-    for j in range(2, m + 1):
-        a_j = (j + 2 * alpha) / (2 * (j + alpha) * (j + 1))
-        b_j = j / (2 * (j + alpha) * (j + 2 * alpha - 1))
-        out[j] = a_j * g[j + 1] - b_j * g[j - 1] + (-1) ** j * (a_j - b_j)
+    out[1:2] = (x * x - 1.0) / 2.0  # no row 1 when m = 0
+    j = np.arange(2, m + 1)[:, None]
+    a_j = (j + 2 * alpha) / (2 * (j + alpha) * (j + 1))
+    b_j = j / (2 * (j + alpha) * (j + 2 * alpha - 1))
+    out[2:] = a_j * g[3:] - b_j * g[1:m] + (-1) ** j * (a_j - b_j)
     return out
 
 
@@ -88,9 +88,9 @@ def build_q1(nodeset: NodeSet) -> np.ndarray:
     """
     if nodeset.interval != (-1.0, 1.0):
         raise ValueError("build_q1 expects a standard [-1, 1] nodeset")
-    g = eval_gegenbauer(nodeset.alpha, nodeset.n, nodeset.nodes)
-    anti = integrate_basis(nodeset.alpha, nodeset.n, nodeset.nodes)
-    return (anti.T @ (g / nodeset.lambdas[:, None])) * nodeset.weights[None, :]
+    g = eval_gegenbauer(nodeset.alpha, nodeset.n + 1, nodeset.nodes)
+    anti = _antiderivatives(nodeset.alpha, g)
+    return (anti.T @ (g[:-1] / nodeset.lambdas[:, None])) * nodeset.weights[None, :]
 
 
 def build_q2(q1: np.ndarray, nodes: np.ndarray) -> np.ndarray:

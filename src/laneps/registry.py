@@ -75,7 +75,6 @@ class ExampleCase:
     lattice_points: int
     deriv_sup: Callable | None = None
     lipschitz: float | None = None
-    p_sup: float | None = None
     reference_tables: tuple[ReferenceTable, ...] = ()
     reference_maes: tuple[ReferenceMAE, ...] = ()
 
@@ -119,7 +118,7 @@ def _example_1() -> ExampleCase:
         exact_second=second,
         lattice_points=50,
         deriv_sup=deriv_sup,
-        p_sup=0.0,
+        lipschitz=0.0,  # sup|p|
         reference_tables=(
             ReferenceTable(
                 n=5, alpha=0.1,
@@ -262,7 +261,7 @@ def _example_3() -> ExampleCase:
         exact_second=second,
         lattice_points=50,
         deriv_sup=deriv_sup,
-        p_sup=4.0,
+        lipschitz=4.0,  # sup|p|
         reference_tables=(
             ReferenceTable(
                 n=6, alpha=-0.2,

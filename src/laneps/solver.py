@@ -214,6 +214,8 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     """Solve F(z) = 0 on either boundary branch (see the module docstring)."""
     x, q1, q2 = ops.nodes, ops.q1_shifted, ops.q2_shifted
     m = x.size
+    if m < 2:  # the one-node rule collocates at b alone and returns a wrong y0
+        raise ValueError(f"n must be at least 1, got {m - 1}")
     robin = spec.beta != 0
     h = np.eye(m) + spec.alpha2 * (q1 / x[:, None])
     sing = spec.alpha1 * spec.alpha2 / x

@@ -184,8 +184,8 @@ def test_criterion_10_error_bounds_dominate_measured_errors():
             meas = np.abs(result.residual_nodes)
             bound = bound_residual(
                 BoundInputs(n=n, alpha=alpha, b=spec.b, a0=ds(n + 2), a1=ds(n + 3),
-                            m_sup=case.p_sup),
-                x, "linear", spec.alpha2, spec.beta, spec.gamma)
+                            lambda_lip=case.lipschitz),
+                x, spec.alpha2, spec.beta, spec.gamma)
             worst_excess = max(worst_excess, float(np.max(meas - bound)))
 
     case = get_example(5)

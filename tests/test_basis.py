@@ -1,6 +1,7 @@
 """Tests for the polynomial family, Radau nodes, and Christoffel weights."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,11 +22,18 @@ from laneps.basis import (
 ALPHA_GRID = (-0.4, 0.0, 0.5, 1.1, 2.0)
 NODE_ALPHAS = ALPHA_GRID + (-0.499, 5.0, 20.0)
 NODE_DEGREES = (1, 2, 3, 5, 8, 12, 16, 20, 64, 128, 512)
+ORACLE_DEGREES = (1, 2, 8, 32)
 EPS = np.finfo(float).eps
 
 alphas = st.sampled_from(ALPHA_GRID)
 degrees = st.integers(min_value=2, max_value=20)
 points = st.floats(min_value=-1.0, max_value=1.0)
+
+
+def _assert_close(computed, exact, n):
+    """Normwise agreement to 64 n ulp of the largest exact value (at least 1)."""
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    assert np.max(np.abs(computed - exact)) <= 64 * n * EPS * scale
 
 
 class TestEvaluation:
@@ -58,6 +66,38 @@ class TestEvaluation:
         for k in range(9):
             p = np.polynomial.legendre.Legendre.basis(k)(x)
             assert np.max(np.abs(g[k] - p)) <= 1e-13
+
+    @pytest.mark.parametrize("n", ORACLE_DEGREES)
+    def test_node_polynomial_matches_the_chebyshev_closed_form(self, n):
+        """alpha = 0: q_n = T_{n+1} - T_n and q_n' = (n+1) U_n - n U_{n-1}.
+
+        With x = cos t, T_k(x) = cos(k t) and U_k(x) = sin((k+1) t) / sin t.
+        """
+        t = np.linspace(0.0, np.pi, 13)[1:-1]
+        q, qd = node_polynomial(0.0, n, np.cos(t))
+        _assert_close(q, np.cos((n + 1) * t) - np.cos(n * t), n)
+        _assert_close(qd, ((n + 1) * np.sin((n + 1) * t) - n * np.sin(n * t)) / np.sin(t), n)
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("n", ORACLE_DEGREES)
+    def test_node_polynomial_matches_mpmath(self, alpha, n):
+        """G_k(x) = 2F1(-k, k + 2a; a + 1/2; (1 - x)/2) at 50 digits; q_n' by mpmath.diff."""
+        x = np.concatenate(([1.0, -1.0], np.random.default_rng(n).uniform(-1.0, 1.0, 7)))
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+
+            def g(k, t):
+                return mpmath.hyp2f1(-k, k + 2 * a, a + 0.5, (1 - t) / 2)
+
+            def q(t):
+                return g(n + 1, t) - g(n, t)
+
+            points = [mpmath.mpf(t) for t in x]
+            exact_q = np.array([float(q(t)) for t in points])
+            exact_qd = np.array([float(mpmath.diff(q, t)) for t in points])
+        q_val, qd = node_polynomial(alpha, n, x)
+        _assert_close(q_val, exact_q, n)
+        _assert_close(qd, exact_qd, n)
 
     def test_rejects_invalid_parameter(self):
         with pytest.raises(ValueError):

@@ -75,12 +75,12 @@ class TestBoundShapes:
         assert vals[1] == 0.0
 
     def test_value_condition_required_for_solution_and_residual_bounds(self):
-        bi = BoundInputs(n=6, alpha=0.5, b=1.0, a0=1.0, a1=1.0, m_sup=1.0)
+        bi = BoundInputs(n=6, alpha=0.5, b=1.0, a0=1.0, a1=1.0, lambda_lip=1.0)
         x = np.array([0.5])
         with pytest.raises(ValueError):
             bound_solution_error(bi, x, 0.0, 1.0)
         with pytest.raises(ValueError):
-            bound_residual(bi, x, "linear", 1.0, 0.0, 1.0)
+            bound_residual(bi, x, 1.0, 0.0, 1.0)
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
@@ -123,8 +123,8 @@ def _robin_dominance_rows(case, n, alpha):
     res_meas = np.abs(r.residual_nodes)
     res_bound = bound_residual(
         BoundInputs(n=n, alpha=alpha, b=spec.b, a0=ds(n + 2), a1=ds(n + 3),
-                    m_sup=case.p_sup),
-        x, "linear", spec.alpha2, spec.beta, spec.gamma,
+                    lambda_lip=case.lipschitz),
+        x, spec.alpha2, spec.beta, spec.gamma,
     )
     return [(q1_meas, q1_bound), (q2_meas, q2_bound),
             (sol_meas, sol_bound), (res_meas, res_bound)]
@@ -164,15 +164,6 @@ class TestDominance:
             BoundInputs(n=n, alpha=alpha, b=spec.b,
                         a0=case.deriv_sup(n + 2), a1=case.deriv_sup(n + 3),
                         lambda_lip=case.lipschitz),
-            x, "nonlinear", spec.alpha2, spec.beta, spec.gamma,
+            x, spec.alpha2, spec.beta, spec.gamma,
         )
         assert np.all(np.abs(r.residual_nodes) <= bound + ALLOW)
-
-    def test_lipschitz_form_reduces_to_the_linear_form(self):
-        """For a linear problem the two residual bounds coincide at lam = M."""
-        bi = BoundInputs(n=6, alpha=0.5, b=1.0, a0=1.3, a1=0.7,
-                         m_sup=4.0, lambda_lip=4.0)
-        x = np.linspace(0.0, 1.0, 7)
-        linear = bound_residual(bi, x, "linear", 2.0, 1.0, 0.0)
-        lipschitz = bound_residual(bi, x, "nonlinear", 2.0, 1.0, 0.0)
-        assert np.max(np.abs(linear - lipschitz)) == 0.0

@@ -31,10 +31,13 @@ class TestBasisAntiderivatives:
         assert np.max(np.abs(rows[2] - expected)) <= 1e-14
 
     def test_low_degree_closed_forms(self):
+        """m = 0 leaves the closed form for degrees >= 2 an empty range."""
         x = np.linspace(-1.0, 1.0, 21)
-        rows = integrate_basis(1.3, 1, x)
-        assert np.max(np.abs(rows[0] - (x + 1.0))) <= 1e-14
-        assert np.max(np.abs(rows[1] - (x**2 - 1.0) / 2.0)) <= 1e-14
+        for m in (0, 1):
+            rows = integrate_basis(1.3, m, x)
+            expected = np.array([x + 1.0, (x**2 - 1.0) / 2.0])[: m + 1]
+            assert rows.shape == expected.shape
+            assert np.max(np.abs(rows - expected)) <= 1e-14
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_matches_adaptive_quadrature(self, alpha):

@@ -251,6 +251,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{name}\(x\) is not finite"):
             solve_problem(spec, 8, 0.5)
 
+    @pytest.mark.parametrize("ex_id", [1, 5])
+    def test_rejects_a_degree_below_one(self, ex_id):
+        """A one-node rule used to return a wrong y0 (0.0 for example 1) without error."""
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            solve_problem(get_example(ex_id).spec, 0, 0.5)
+
     def test_non_finite_nonlinear_residual_raises(self):
         spec = ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=1.0,
                            gamma=0.0, delta=0.0, f=lambda x, y: np.full_like(x, np.nan))
