@@ -17,14 +17,21 @@ For beta != 0 (Robin) the right-endpoint condition eliminates y(0): z = Phi
 and y = xbar + Theta Phi.  For beta = 0 (Neumann) y(0) is an extra unknown:
 z = (Phi, y0), y = a1*x + Q2 Phi + y0, and F gains the border row
 Q1[0] Phi = delta/gamma - a1.  A linear problem is solved by one exact Newton
-step from z = 0; a nonlinear one by one damped Newton run from z = 0.  Newton
-stops when the residual or the step falls to _NEWTON_TOL.  If the line search
-stalls first, z counts as converged only when max|F(z)| is at the rounding
-level of evaluating F (4 eps times the largest row of |H||Phi| + |f| +
-|a1*a2/x|, plus the border row on the Neumann branch) and the Newton step is
-below sqrt(eps)*max|z|; otherwise NonlinearSolveError is raised.  An exactly
-singular J (p = 0 on the Neumann branch leaves y(0) free) gets the
-minimum-norm least-squares step and kappa_inf = inf.
+step from z = 0; a nonlinear one by one damped Newton run.  Below n = 256 that
+run starts from z = 0.  From n = 8 * _COARSE_N = 256 on it is grid sequenced
+(nested iteration; Kelley, Solving Nonlinear Equations with Newton's Method,
+SIAM 2003, ch. 1-2): the same problem is first solved at degree _COARSE_N = 32
+from z = 0, and the fine run starts from the coarse Phi interpolated to the
+fine nodes (with the coarse y0 on the Neumann branch).  If the coarse run
+fails numerically (NonlinearSolveError, or an ArithmeticError such as a domain
+error of f), the fine run starts from z = 0; SolverResult.seed_degree records
+which start was taken.  Newton stops when the residual or the step falls to
+_NEWTON_TOL.  If the line search stalls first, z counts as converged only when
+max|F(z)| is at the rounding level of evaluating F (4 eps times the largest row
+of |H||Phi| + |f| + |a1*a2/x|, plus the border row on the Neumann branch) and
+the Newton step is below sqrt(eps)*max|z|; otherwise NonlinearSolveError is
+raised.  An exactly singular J (p = 0 on the Neumann branch leaves y(0) free)
+gets the minimum-norm least-squares step and kappa_inf = inf.
 """
 from __future__ import annotations
 
@@ -54,6 +61,9 @@ _FD_STEP = 1e-7
 #: row of |terms| of F) and max|step| <= _STEP_RTOL * max|z|.
 _FLOOR_FACTOR = 4.0
 _STEP_RTOL = math.sqrt(np.finfo(float).eps)
+#: A nonlinear solve at n >= 8 * _COARSE_N starts Newton from the solution at
+#: this degree; below that a coarse build and solve cost about what they save.
+_COARSE_N = 32
 
 
 class NonlinearSolveError(RuntimeError):
@@ -104,7 +114,9 @@ class SolverResult:
 
     ``phi`` holds the computed y'' values at the nodes; ``kappa_inf`` is set
     for linear solves only and ``newton_iters``/``step_norms`` for nonlinear
-    ones.  ``evaluate`` interpolates y off the nodes (exactly y0 at x = 0).
+    ones.  These count the Newton run at this degree only; ``seed_degree`` is
+    the degree whose solution started it (None for a start from z = 0).
+    ``evaluate`` interpolates y off the nodes (exactly y0 at x = 0).
     """
 
     spec: ProblemSpec
@@ -117,6 +129,7 @@ class SolverResult:
     kappa_inf: float | None = None
     newton_iters: int | None = None
     step_norms: tuple[float, ...] | None = None
+    seed_degree: int | None = None
 
     def __post_init__(self):
         for arr in (self.phi, self.y_nodes, self.yprime_nodes, self.residual_nodes):
@@ -131,9 +144,14 @@ class SolverResult:
 
         x = 0 returns the recovered y(0).  Every other point gets the
         barycentric interpolant of the node values, which is a node's value
-        at that node (y at b included).
+        at that node (y at b included).  A point that is not finite or lies
+        outside [0, b] raises ValueError.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        outside = ~((x >= 0.0) & (x <= self.spec.b))  # NaN fails both comparisons
+        if outside.any():
+            bad = float(x[outside][0])
+            raise ValueError(f"points must lie in [0, {self.spec.b!r}], got {bad!r}")
         return np.where(x == 0.0, self.y0, interpolate(self.nodeset, self.y_nodes, x))
 
 
@@ -210,6 +228,22 @@ def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
     )
 
 
+def _newton_start(spec: ProblemSpec, ops: IntegrationOperators, robin: bool):
+    """(seed degree, z0): from n = 8 * _COARSE_N on, the degree-_COARSE_N
+    solution on the nodes of ``ops``; below that, or if it fails, (None, 0)."""
+    m = ops.nodes.size
+    if m - 1 >= 8 * _COARSE_N:
+        coarse_ops = build_operators(BasisConfig(ops.standard.alpha, _COARSE_N), spec.b)
+        try:
+            coarse = solve(spec, coarse_ops)
+        except (NonlinearSolveError, ArithmeticError):
+            pass
+        else:
+            phi0 = interpolate(coarse.nodeset, coarse.phi, ops.nodes)
+            return _COARSE_N, phi0 if robin else np.append(phi0, coarse.y0)
+    return None, np.zeros(m if robin else m + 1)
+
+
 def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     """Solve F(z) = 0 on either boundary branch (see the module docstring)."""
     x, q1, q2 = ops.nodes, ops.q1_shifted, ops.q2_shifted
@@ -269,14 +303,15 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
             rows = np.append(rows, np.abs(q1[0]) @ np.abs(z[:m]) + abs(border))
         return float(np.max(rows))
 
-    z0 = np.zeros(m if robin else m + 1)
     if spec.kind == "linear":
+        z0 = np.zeros(m if robin else m + 1)
         jac = jacobian(z0)
         z = z0 + _linear_step(jac, -residual(z0))
         diag = {"kappa_inf": _condition_inf(jac)}
     else:
+        seed_degree, z0 = _newton_start(spec, ops, robin)
         z, iters, steps = _damped_newton(residual, jacobian, scale, z0)
-        diag = {"newton_iters": iters, "step_norms": tuple(steps)}
+        diag = {"newton_iters": iters, "step_norms": tuple(steps), "seed_degree": seed_degree}
 
     phi = z[:m]
     if robin:

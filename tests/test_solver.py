@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from laneps import solver
 from laneps.basis import BasisConfig
+from laneps.expressions import DomainEvalError, parse_expression
 from laneps.quadrature import build_operators
 from laneps.registry import get_example
 from laneps.solver import (
@@ -174,6 +176,77 @@ class TestNewton:
             solve_problem(spec, 32, 0.5)
 
 
+def _record_build_degrees(monkeypatch) -> list:
+    """Record the degree of every basis the solver builds."""
+    degrees = []
+
+    def counting(cfg, b=1.0):
+        degrees.append(cfg.n)
+        return build_operators(cfg, b)
+
+    monkeypatch.setattr(solver, "build_operators", counting)
+    return degrees
+
+
+class TestCoarseStart:
+    #: Lattice MAE with Newton started from z = 0 (the solver before the
+    #: coarse start), keyed by (example, alpha, n).
+    COLD_MAE = {
+        (2, -0.4, 256): 4.44e-15, (2, -0.4, 512): 1.01e-14,
+        (2, 0.5, 256): 4.44e-16, (2, 0.5, 512): 6.77e-15,
+        (2, 2.0, 256): 9.21e-15, (2, 2.0, 512): 2.72e-14,
+        (4, -0.4, 256): 4.44e-14, (4, -0.4, 512): 4.77e-14,
+        (4, 0.5, 256): 1.90e-14, (4, 0.5, 512): 3.49e-14,
+        (4, 2.0, 256): 5.83e-14, (4, 2.0, 512): 3.42e-13,
+        (5, -0.4, 256): 1.20e-14, (5, -0.4, 512): 3.77e-14,
+        (5, 0.5, 256): 6.66e-16, (5, 0.5, 512): 7.77e-16,
+        (5, 2.0, 256): 6.66e-16, (5, 2.0, 512): 6.66e-16,
+    }
+
+    @pytest.mark.parametrize("ex_id,alpha,n", sorted(COLD_MAE))
+    def test_seeded_run_is_short_and_keeps_the_accuracy(self, ex_id, alpha, n):
+        case = get_example(ex_id)
+        r = solve_problem(case.spec, n, alpha)
+        lattice = case.lattice()
+        mae = np.max(np.abs(r.evaluate(lattice) - case.exact(lattice)))
+        assert mae <= max(10.0 * self.COLD_MAE[ex_id, alpha, n], 1e-12)
+        assert r.seed_degree == 32
+        assert r.newton_iters <= 4 and r.newton_iters == len(r.step_norms)
+
+    @pytest.mark.parametrize("n,seed", [(255, None), (256, 32)])
+    def test_threshold_is_degree_256(self, monkeypatch, n, seed):
+        degrees = _record_build_degrees(monkeypatch)
+        r = solver.solve_problem(get_example(4).spec, n, 0.5)
+        assert r.seed_degree == seed
+        assert degrees.count(32) == (seed is not None)
+
+    def test_linear_solves_take_no_coarse_start(self, monkeypatch):
+        degrees = _record_build_degrees(monkeypatch)
+        r = solver.solve_problem(get_example(1).spec, 256, 0.5)
+        assert r.seed_degree is None and degrees == [256]
+
+    @pytest.mark.parametrize("f,error,match", [
+        (lambda x, y: 3.4 * np.exp(y), NonlinearSolveError, "line search stalled"),
+        (parse_expression("sqrt(y) - 1", ("x", "y")), DomainEvalError, "square root"),
+    ])
+    def test_failed_coarse_run_leaves_the_fine_run_to_raise(self, monkeypatch, f, error, match):
+        # Spherical Bratu past its fold, and f' by differences stepping below
+        # y = 0: both fail at n = 32 and again from z = 0 at n = 256.
+        sizes = []
+
+        def recording(x, y):
+            sizes.append(x.size)
+            return f(x, y)
+
+        spec = ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=2.0, beta=1.0, gamma=0.0,
+                           delta=0.0, b=1.0, f=recording)
+        degrees = _record_build_degrees(monkeypatch)
+        with pytest.raises(error, match=match):
+            solver.solve_problem(spec, 256, 0.5)
+        assert degrees == [256, 32]
+        assert sizes[0] == 33 and sizes[-1] == 257  # the error is the fine run's
+
+
 class TestResidual:
     def test_linear_solutions_leave_roundoff_residual(self):
         for ex_id, alpha in ((1, 0.1), (3, -0.2)):
@@ -204,6 +277,12 @@ class TestResultInterface:
         r = solve_problem(_manufactured_linear(), 6, 0.5)
         x = np.linspace(0.0, 1.0, 17)
         assert np.max(np.abs(r.evaluate(x) - (x**2 - 2.0))) <= 1e-10
+
+    @pytest.mark.parametrize("x", [np.inf, np.nan, -1.0, 2.0])
+    def test_evaluate_rejects_points_outside_the_interval(self, x):
+        r = solve_problem(get_example(1).spec, 16, 0.5)
+        with pytest.raises(ValueError, match=r"^points must lie in \[0, 1.0\]"):
+            r.evaluate([0.5, x])
 
     @pytest.mark.parametrize("ex_id, n, limit", [(1, 256, 1e-12), (3, 64, 2e-12)])
     def test_lattice_error_keeps_the_node_accuracy(self, ex_id, n, limit):
