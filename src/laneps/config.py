@@ -4,7 +4,8 @@ Lines look like ``key = value``; blank lines, ``#``/``;`` comments and
 ``[section]`` headers are tolerated and ignored.  Scalar values may be
 constant expressions (e.g. ``delta = sqrt(3)/2``); the function-valued keys
 ``p``/``g`` (linear), ``f`` (nonlinear) and the optional ``exact`` are
-expressions in x (f also in y) compiled by the built-in grammar.
+expressions in x (f also in y) compiled by the built-in grammar.  A nonlinear
+problem's f_y is the derivative of the ``f`` expression in y.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ class ProblemConfig:
     eval_points: int
 
     def to_spec(self) -> ProblemSpec:
-        """Build the solver-facing problem description."""
+        """Build the solver-facing problem description, with dfdy = df/dy."""
         return ProblemSpec(
             kind=self.kind,
             alpha1=self.alpha1,
@@ -57,7 +58,7 @@ class ProblemConfig:
             p=self.p,
             g=self.g,
             f=self.f,
-            dfdy=None,
+            dfdy=None if self.f is None else self.f.derivative("y"),
         )
 
 

@@ -3,12 +3,17 @@
 Grammar: identifiers drawn from the declared variable list (x, or x and y),
 the constant pi, numeric literals, binary + - * / ^ (right-associative power),
 unary minus, and the functions sin cos tan exp log sqrt sinh cosh abs pow.
-Expressions compile to closure trees evaluated with numpy, so they vectorize
-over arrays; parse errors carry the offending column and evaluation-time
-domain violations report the offending abscissa.  No Python eval is involved.
+Text parses to a tree, which compiles to a closure tree evaluated with numpy,
+so expressions vectorize over arrays; parse errors carry the offending column
+and evaluation-time domain violations report the offending abscissa.  No
+Python eval is involved.  ``Expression.derivative`` differentiates the tree
+in one variable by the forward-mode rules (Griewank & Walther, Evaluating
+Derivatives, SIAM 2008, ch. 3), with abs' = sign; the derivative evaluates
+without domain checks.
 """
 from __future__ import annotations
 
+import operator
 import re
 
 import numpy as np
@@ -99,21 +104,106 @@ def _divide(num, den, ctx):
     return num / den
 
 
-_UNARY_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "abs": np.abs,
-}
-_CHECKED_FUNCTIONS = {"log": _fn_log, "sqrt": _fn_sqrt}
-_FUNCTION_NAMES = set(_UNARY_FUNCTIONS) | set(_CHECKED_FUNCTIONS) | {"pow"}
+#: Plain numpy operations; sign (abs') appears in derivative trees only.
+_FUNCTIONS = {name: getattr(np, name) for name in
+              ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "abs", "sign")}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": np.power}
+#: The operations whose value path checks its domain; each takes ctx last.
+_CHECKED = {"/": _divide, "^": _power, "log": _fn_log, "sqrt": _fn_sqrt}
+_FUNCTION_NAMES = (set(_FUNCTIONS) - {"sign"}) | {"pow"}
+_ONE = ("num", 1.0)
+
+
+def _compile(node, checked: bool):
+    """Closure evaluating a tree on a dict of variable values.
+
+    A tree is a tuple ("num", value), ("var", name), ("neg", a), (op, a, b)
+    for op in + - * / ^, or (function name, a).  With ``checked`` the value
+    path raises DomainEvalError where _CHECKED says so.
+    """
+    op, *args = node
+    if op == "num":
+        value = args[0]
+        return lambda ctx: value
+    if op == "var":
+        return lambda ctx, name=args[0]: ctx[name]
+    parts = [_compile(arg, checked) for arg in args]
+    if op == "neg":
+        (inner,) = parts
+        return lambda ctx: -inner(ctx)
+    if checked and op in _CHECKED:
+        fn = _CHECKED[op]
+        if len(parts) == 1:
+            return lambda ctx, a=parts[0]: fn(a(ctx), ctx)
+        return lambda ctx, l=parts[0], r=parts[1]: fn(l(ctx), r(ctx), ctx)
+    if len(parts) == 1:
+        return lambda ctx, fn=_FUNCTIONS[op], a=parts[0]: fn(a(ctx))
+    return lambda ctx, fn=_ARITHMETIC[op], l=parts[0], r=parts[1]: fn(l(ctx), r(ctx))
+
+
+# Derivative-tree builders; None stands for an exact zero and is pruned.
+def _add(a, b):
+    return a if b is None else b if a is None else ("+", a, b)
+
+
+def _sub(a, b):
+    return a if b is None else ("neg", b) if a is None else ("-", a, b)
+
+
+def _mul(a, b):
+    if a is None or b is None:
+        return None
+    return b if a == _ONE else a if b == _ONE else ("*", a, b)
+
+
+def _div(a, b):
+    return None if a is None else ("/", a, b)
+
+
+def _function_derivative(name: str, u, du):
+    """d name(u) for a nonzero du: du / (1/name'(u)) for log, sqrt and tan,
+    name'(u) * du for the rest, and None (zero) for sign."""
+    divisor = {"log": u, "sqrt": ("*", ("num", 2.0), ("sqrt", u)),
+               "tan": ("*", ("cos", u), ("cos", u))}.get(name)
+    if divisor is not None:
+        return _div(du, divisor)
+    return _mul({"sin": ("cos", u), "cos": ("neg", ("sin", u)), "exp": ("exp", u),
+                 "sinh": ("cosh", u), "cosh": ("sinh", u), "abs": ("sign", u)}.get(name), du)
+
+
+def _derivative(node, var: str):
+    """Forward-mode derivative tree of ``node`` in ``var``; None if zero."""
+    op, *args = node
+    if op == "num":
+        return None
+    if op == "var":
+        return _ONE if args[0] == var else None
+    derivs = [_derivative(arg, var) for arg in args]
+    if all(d is None for d in derivs):
+        return None
+    if op == "neg":
+        return ("neg", derivs[0])
+    if len(args) == 1:
+        return _function_derivative(op, args[0], derivs[0])
+    (u, v), (du, dv) = args, derivs
+    if op == "+":
+        return _add(du, dv)
+    if op == "-":
+        return _sub(du, dv)
+    if op == "*":
+        return _add(_mul(du, v), _mul(u, dv))
+    if op == "/":
+        return _sub(_div(du, v), _div(_mul(u, dv), ("*", v, v)))
+    if dv is None:  # constant exponent: e * b^(e - 1) * b'
+        e_less_one = ("num", v[1] - 1.0) if v[0] == "num" else ("-", v, _ONE)
+        return _mul(_mul(v, ("^", u, e_less_one)), du)
+    # b^e * (e' log b + e b' / b)
+    return _mul(node, _add(_mul(dv, ("log", u)), _div(_mul(v, du), u)))
 
 
 class _Parser:
-    """Recursive descent over the token stream, emitting closure nodes."""
+    """Recursive descent over the token stream, emitting a tree."""
 
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.text = text
@@ -144,27 +234,16 @@ class _Parser:
         return node
 
     def expression(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            rhs = self.term()
-            lhs = node
-            if op == "+":
-                node = lambda ctx, l=lhs, r=rhs: l(ctx) + r(ctx)
-            else:
-                node = lambda ctx, l=lhs, r=rhs: l(ctx) - r(ctx)
-        return node
+        return self.chain("+-", self.term)
 
     def term(self):
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            rhs = self.unary()
-            lhs = node
-            if op == "*":
-                node = lambda ctx, l=lhs, r=rhs: l(ctx) * r(ctx)
-            else:
-                node = lambda ctx, l=lhs, r=rhs: _divide(l(ctx), r(ctx), ctx)
+        return self.chain("*/", self.unary)
+
+    def chain(self, ops: str, operand):
+        """operand (op operand)*, left-associative, for op in ``ops``."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = (self.advance()[1], node, operand())
         return node
 
     def unary(self):
@@ -172,9 +251,7 @@ class _Parser:
         if kind == "op" and value in "+-":
             self.advance()
             inner = self.unary()
-            if value == "-":
-                return lambda ctx, f=inner: -f(ctx)
-            return inner
+            return ("neg", inner) if value == "-" else inner
         return self.power()
 
     def power(self):
@@ -182,24 +259,22 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            exponent = self.unary()
-            return lambda ctx, b=base, e=exponent: _power(b(ctx), e(ctx), ctx)
+            return ("^", base, self.unary())
         return base
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            constant = float(value)
-            return lambda ctx, v=constant: v
+            return ("num", float(value))
         if kind == "op" and value == "(":
             node = self.expression()
             self.expect_op(")")
             return node
         if kind == "name":
             if value == "pi":
-                return lambda ctx: np.pi
+                return ("num", np.pi)
             if value in self.variables:
-                return lambda ctx, name=value: ctx[name]
+                return ("var", value)
             if value in _FUNCTION_NAMES:
                 return self.call(value, pos)
             raise ExpressionError(f"unknown identifier {value!r}", pos)
@@ -216,23 +291,24 @@ class _Parser:
         if name == "pow":
             if len(args) != 2:
                 raise ExpressionError("pow expects exactly 2 arguments", pos)
-            lhs, rhs = args
-            return lambda ctx: _power(lhs(ctx), rhs(ctx), ctx)
+            return ("^", *args)
         if len(args) != 1:
             raise ExpressionError(f"{name} expects exactly 1 argument", pos)
-        (arg,) = args
-        if name in _CHECKED_FUNCTIONS:
-            return lambda ctx, f=_CHECKED_FUNCTIONS[name], a=arg: f(a(ctx), ctx)
-        return lambda ctx, f=_UNARY_FUNCTIONS[name], a=arg: f(a(ctx))
+        return (name, args[0])
 
 
 class Expression:
-    """A compiled expression callable on its declared variables."""
+    """A compiled expression callable on its declared variables.
 
-    def __init__(self, text: str, variables: tuple[str, ...]):
+    A call returns a float array with the broadcast shape of its arguments.
+    """
+
+    def __init__(self, text: str, variables: tuple[str, ...], *, _tree=None):
         self.text = text
         self.variables = variables
-        self._root = _Parser(text, variables).parse()
+        self._tree = _Parser(text, variables).parse() if _tree is None else _tree
+        # Domain checks guard parsed text only; a derivative tree runs plain numpy.
+        self._root = _compile(self._tree, checked=_tree is None)
 
     def __call__(self, *values):
         if len(values) != len(self.variables):
@@ -240,9 +316,25 @@ class Expression:
                 f"expression over {self.variables} takes {len(self.variables)} "
                 f"argument(s), got {len(values)}"
             )
-        ctx = {name: np.asarray(v, dtype=float) for name, v in zip(self.variables, values)}
+        arrays = [np.asarray(v, dtype=float) for v in values]
         with np.errstate(all="ignore"):
-            return self._root(ctx)
+            out = self._root(dict(zip(self.variables, arrays)))
+        shape = np.broadcast(*arrays).shape if arrays else ()
+        if type(out) is not np.ndarray or out.shape != shape:
+            out = np.full(shape, out)
+        return out
+
+    def derivative(self, var: str) -> "Expression":
+        """The partial derivative in ``var``, over the same variables.
+
+        Its tree is built here, once; subtrees free of ``var`` differentiate
+        to an exact zero, which is pruned.
+        """
+        if var not in self.variables:
+            raise ValueError(f"{var!r} is not a variable of {self!r}")
+        tree = _derivative(self._tree, var)
+        return Expression(f"d({self.text})/d{var}", self.variables,
+                          _tree=("num", 0.0) if tree is None else tree)
 
     def __repr__(self):
         return f"Expression({self.text!r}, variables={self.variables})"

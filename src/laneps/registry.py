@@ -3,10 +3,14 @@
 Five classic Lane-Emden-type cases: a linear emissivity problem, the
 polytropic-index-5 equilibrium equation, a linear heat-conduction problem in a
 sphere, the isothermal gas sphere with exponential source, and a pure-Neumann
-trigonometric problem.  Each case carries its exact solution (with first and
-second derivatives), closed-form sup-norms of higher derivatives where the
-error bounds need them, the evaluation lattice used for reported errors, and
-stored reference errors for regression comparison.
+trigonometric problem.  Each case is read from its config file in the
+package's ``configs`` directory, the same text ``laneps solve --config``
+takes: the problem data, f and f_y = df/dy, the exact solution and the size
+of the evaluation lattice used for reported errors.  The first and second
+derivatives of the exact solution are its expression differentiated in x.
+Only what the text does not hold lives here: the title, closed-form
+sup-norms of higher derivatives where the error bounds need them, the
+Lipschitz constant, and stored reference errors for regression comparison.
 
 The registry self-checks at load: every exact solution must satisfy its ODE
 and boundary data at 100 sample points before a case is handed out.
@@ -15,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from .config import load_config
 from .solver import ProblemSpec
 
 __all__ = [
@@ -36,6 +42,8 @@ EXAMPLE_IDS = (1, 2, 3, 4, 5)
 #: Exact-solution self-check tolerances (ODE residual / boundary data).
 _ODE_TOL = 1e-10
 _BC_TOL = 1e-12
+#: Example i is defined by ``example{i}.cfg`` here.
+_CONFIG_DIR = Path(__file__).parent / "configs"
 
 
 class RegistryError(RuntimeError):
@@ -83,63 +91,13 @@ class ExampleCase:
         return np.linspace(0.0, self.spec.b, self.lattice_points)
 
 
-def _example_1() -> ExampleCase:
-    def exact(x):
-        return 2.0 * np.log(7.0 / (8.0 - np.asarray(x, float) ** 2))
-
-    def prime(x):
-        x = np.asarray(x, float)
-        return 4.0 * x / (8.0 - x**2)
-
-    def second(x):
-        x = np.asarray(x, float)
-        return (32.0 + 4.0 * x**2) / (8.0 - x**2) ** 2
-
-    def deriv_sup(m: int) -> float:
-        # y^(m) = 2 (m-1)! ((c - x)^-m + (-1)^(m-1) (c + x)^-m), c = 2*sqrt(2),
-        # maximized on [0, 1] by taking both denominators at their smallest.
-        c = 2.0 * math.sqrt(2.0)
-        if m == 0:
-            return 2.0 * abs(math.log(7.0 / 8.0))
-        return 2.0 * math.factorial(m - 1) * ((c - 1.0) ** -m + c**-m)
-
-    spec = ProblemSpec(
-        kind="linear", alpha1=0.0, alpha2=1.0, beta=1.0, gamma=0.0, delta=0.0,
-        b=1.0,
-        p=lambda x: np.zeros_like(np.asarray(x, float)),
-        g=lambda x: (8.0 / (8.0 - np.asarray(x, float) ** 2)) ** 2,
-    )
-    return ExampleCase(
-        id=1,
-        title="linear emissivity problem",
-        spec=spec,
-        exact=exact,
-        exact_prime=prime,
-        exact_second=second,
-        lattice_points=50,
-        deriv_sup=deriv_sup,
-        lipschitz=0.0,  # sup|p|
-        reference_tables=(
-            ReferenceTable(
-                n=5, alpha=0.1,
-                abscissas=(0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-                relative_errors=(
-                    1.8405e-06, 1.8512e-06, 3.2213e-06, 9.0436e-06, 3.6570e-06,
-                    7.1760e-06, 1.3045e-05, 6.5036e-06, 1.1139e-05, 2.5024e-05,
-                    2.4411e-06,
-                ),
-                endpoint_abs_error=0.0,
-            ),
-            ReferenceTable(
-                n=7, alpha=1.1,
-                abscissas=(0.0, 0.2, 0.4, 0.6, 0.8),
-                relative_errors=(
-                    7.9499e-08, 8.6474e-09, 5.4461e-10, 2.8767e-08, 4.0944e-08,
-                ),
-                endpoint_abs_error=0.0,
-            ),
-        ),
-    )
+def _example_1_sup(m: int) -> float:
+    # y^(m) = 2 (m-1)! ((c - x)^-m + (-1)^(m-1) (c + x)^-m), c = 2*sqrt(2),
+    # maximized on [0, 1] by taking both denominators at their smallest.
+    c = 2.0 * math.sqrt(2.0)
+    if m == 0:
+        return 2.0 * abs(math.log(7.0 / 8.0))
+    return 2.0 * math.factorial(m - 1) * ((c - 1.0) ** -m + c**-m)
 
 
 def _binomial_tail_sup(m: int, pole_scale: float) -> float:
@@ -166,33 +124,56 @@ def _binomial_tail_sup(m: int, pole_scale: float) -> float:
             return total
 
 
-def _example_2() -> ExampleCase:
-    def exact(x):
-        return 1.0 / np.sqrt(1.0 + np.asarray(x, float) ** 2 / 3.0)
+def _sinh_ratio_deriv(m: int, x) -> np.ndarray:
+    """m-th derivative of sinh(2x)/x via its everywhere-convergent series.
 
-    def prime(x):
-        x = np.asarray(x, float)
-        return -(x / 3.0) * (1.0 + x**2 / 3.0) ** -1.5
+    sinh(2x)/x = sum_j 2^(2j+1) x^(2j) / (2j+1)!, so the m-th derivative is
+    sum over 2j >= m of 2^(2j+1) x^(2j-m) / ((2j+1) (2j-m)!); all coefficients
+    are positive, which also makes the x = 1 value the sup on [0, 1].
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for j in range((m + 1) // 2, (m + 1) // 2 + 40):
+        coeff = 2.0 ** (2 * j + 1) / ((2 * j + 1) * math.factorial(2 * j - m))
+        out = out + coeff * x ** float(2 * j - m)
+    return out
 
-    def second(x):
-        x = np.asarray(x, float)
-        u = 1.0 + x**2 / 3.0
-        return -(1.0 / 3.0) * u**-1.5 + (x**2 / 3.0) * u**-2.5
 
-    spec = ProblemSpec(
-        kind="nonlinear", alpha1=0.0, alpha2=2.0, beta=1.0, gamma=0.0,
-        delta=math.sqrt(3.0) / 2.0, b=1.0,
-        f=lambda x, y: y**5,
-        dfdy=lambda x, y: 5.0 * y**4,
-    )
-    return ExampleCase(
-        id=2,
+def _example_3_sup(m: int) -> float:
+    # y = 0.5 + (5/sinh 2) sinh(2x)/x
+    scale = 5.0 / math.sinh(2.0)
+    return (0.5 if m == 0 else 0.0) + scale * float(_sinh_ratio_deriv(m, 1.0))
+
+
+#: What the config files do not hold, per example id.
+_CASE_DATA = {
+    1: dict(
+        title="linear emissivity problem",
+        deriv_sup=_example_1_sup,
+        lipschitz=0.0,  # sup|p|
+        reference_tables=(
+            ReferenceTable(
+                n=5, alpha=0.1,
+                abscissas=(0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+                relative_errors=(
+                    1.8405e-06, 1.8512e-06, 3.2213e-06, 9.0436e-06, 3.6570e-06,
+                    7.1760e-06, 1.3045e-05, 6.5036e-06, 1.1139e-05, 2.5024e-05,
+                    2.4411e-06,
+                ),
+                endpoint_abs_error=0.0,
+            ),
+            ReferenceTable(
+                n=7, alpha=1.1,
+                abscissas=(0.0, 0.2, 0.4, 0.6, 0.8),
+                relative_errors=(
+                    7.9499e-08, 8.6474e-09, 5.4461e-10, 2.8767e-08, 4.0944e-08,
+                ),
+                endpoint_abs_error=0.0,
+            ),
+        ),
+    ),
+    2: dict(
         title="polytropic equilibrium of index five",
-        spec=spec,
-        exact=exact,
-        exact_prime=prime,
-        exact_second=second,
-        lattice_points=11,
         deriv_sup=lambda m: _binomial_tail_sup(m, 3.0),
         lipschitz=5.0,  # 5 max|y|^4 with |y| <= 1 on the solution range
         reference_tables=(
@@ -211,56 +192,10 @@ def _example_2() -> ExampleCase:
             ReferenceMAE(6, -0.1, 1.7118e-06),
             ReferenceMAE(8, 0.8, 2.6347e-08),
         ),
-    )
-
-
-def _sinh_ratio_deriv(m: int, x) -> np.ndarray:
-    """m-th derivative of sinh(2x)/x via its everywhere-convergent series.
-
-    sinh(2x)/x = sum_j 2^(2j+1) x^(2j) / (2j+1)!, so the m-th derivative is
-    sum over 2j >= m of 2^(2j+1) x^(2j-m) / ((2j+1) (2j-m)!); all coefficients
-    are positive, which also makes the x = 1 value the sup on [0, 1].
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for j in range((m + 1) // 2, (m + 1) // 2 + 40):
-        coeff = 2.0 ** (2 * j + 1) / ((2 * j + 1) * math.factorial(2 * j - m))
-        out = out + coeff * x ** float(2 * j - m)
-    return out
-
-
-def _example_3() -> ExampleCase:
-    scale = 5.0 / math.sinh(2.0)
-
-    def exact(x):
-        return 0.5 + scale * _sinh_ratio_deriv(0, x)
-
-    def prime(x):
-        return scale * _sinh_ratio_deriv(1, x)
-
-    def second(x):
-        return scale * _sinh_ratio_deriv(2, x)
-
-    def deriv_sup(m: int) -> float:
-        if m == 0:
-            return 0.5 + scale * float(_sinh_ratio_deriv(0, 1.0))
-        return scale * float(_sinh_ratio_deriv(m, 1.0))
-
-    spec = ProblemSpec(
-        kind="linear", alpha1=0.0, alpha2=2.0, beta=1.0, gamma=0.0, delta=5.5,
-        b=1.0,
-        p=lambda x: np.full_like(np.asarray(x, float), -4.0),
-        g=lambda x: np.full_like(np.asarray(x, float), -2.0),
-    )
-    return ExampleCase(
-        id=3,
+    ),
+    3: dict(
         title="linear heat conduction in a sphere",
-        spec=spec,
-        exact=exact,
-        exact_prime=prime,
-        exact_second=second,
-        lattice_points=50,
-        deriv_sup=deriv_sup,
+        deriv_sup=_example_3_sup,
         lipschitz=4.0,  # sup|p|
         reference_tables=(
             ReferenceTable(
@@ -277,39 +212,9 @@ def _example_3() -> ExampleCase:
                 endpoint_abs_error=0.0,
             ),
         ),
-    )
-
-
-def _example_4() -> ExampleCase:
-    c = 3.0 - 2.0 * math.sqrt(2.0)
-
-    def exact(x):
-        x = np.asarray(x, float)
-        return 2.0 * np.log((c + 1.0) / (c * x**2 + 1.0))
-
-    def prime(x):
-        x = np.asarray(x, float)
-        return -4.0 * c * x / (c * x**2 + 1.0)
-
-    def second(x):
-        x = np.asarray(x, float)
-        return (4.0 * c**2 * x**2 - 4.0 * c) / (c * x**2 + 1.0) ** 2
-
-    spec = ProblemSpec(
-        kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=1.0, gamma=0.0,
-        delta=2.0 * math.log((4.0 - 2.0 * math.sqrt(2.0)) / (7.75 - 4.5 * math.sqrt(2.0))),
-        b=1.5,
-        f=lambda x, y: np.exp(y),
-        dfdy=lambda x, y: np.exp(y),
-    )
-    return ExampleCase(
-        id=4,
+    ),
+    4: dict(
         title="isothermal gas sphere with exponential source",
-        spec=spec,
-        exact=exact,
-        exact_prime=prime,
-        exact_second=second,
-        lattice_points=6,
         lipschitz=(4.0 - 2.0 * math.sqrt(2.0)) ** 2,  # exp(max y) = (c+1)^2
         reference_tables=(
             ReferenceTable(
@@ -327,37 +232,10 @@ def _example_4() -> ExampleCase:
             ReferenceMAE(15, -0.1, 1.1013e-13),
             ReferenceMAE(20, 2.0, 5.8287e-15),
         ),
-    )
-
-
-def _example_5() -> ExampleCase:
-    def exact(x):
-        return math.pi / 2.0 - np.asarray(x, float)
-
-    def prime(x):
-        return np.full_like(np.asarray(x, float), -1.0)
-
-    def second(x):
-        return np.zeros_like(np.asarray(x, float))
-
-    def deriv_sup(m: int) -> float:
-        return (math.pi / 2.0, 1.0)[m] if m <= 1 else 0.0
-
-    spec = ProblemSpec(
-        kind="nonlinear", alpha1=-1.0, alpha2=2.0, beta=0.0, gamma=1.0,
-        delta=-1.0, b=1.0,
-        f=lambda x, y: np.sin(y) - np.cos(x) + 2.0 / x,
-        dfdy=lambda x, y: np.cos(y),
-    )
-    return ExampleCase(
-        id=5,
+    ),
+    5: dict(
         title="pure-Neumann trigonometric problem",
-        spec=spec,
-        exact=exact,
-        exact_prime=prime,
-        exact_second=second,
-        lattice_points=11,
-        deriv_sup=deriv_sup,
+        deriv_sup=lambda m: (math.pi / 2.0, 1.0)[m] if m <= 1 else 0.0,
         lipschitz=1.0,
         reference_tables=(
             ReferenceTable(
@@ -370,6 +248,22 @@ def _example_5() -> ExampleCase:
                 endpoint_abs_error=4.4409e-16,
             ),
         ),
+    ),
+}
+
+
+def _build(example_id: int) -> ExampleCase:
+    """The case read from its config file, plus its entry of ``_CASE_DATA``."""
+    cfg = load_config(_CONFIG_DIR / f"example{example_id}.cfg")
+    exact_prime = cfg.exact.derivative("x")
+    return ExampleCase(
+        id=example_id,
+        spec=cfg.to_spec(),
+        exact=cfg.exact,
+        exact_prime=exact_prime,
+        exact_second=exact_prime.derivative("x"),
+        lattice_points=cfg.eval_points,
+        **_CASE_DATA[example_id],
     )
 
 
@@ -396,16 +290,15 @@ def self_check(case: ExampleCase) -> None:
         )
 
 
-_BUILDERS = {1: _example_1, 2: _example_2, 3: _example_3, 4: _example_4, 5: _example_5}
 _CACHE: dict[int, ExampleCase] = {}
 
 
 def get_example(example_id: int) -> ExampleCase:
     """Return the registered case, self-checking it on first access."""
-    if example_id not in _BUILDERS:
+    if example_id not in EXAMPLE_IDS:
         raise KeyError(f"unknown example id {example_id}; expected one of {EXAMPLE_IDS}")
     if example_id not in _CACHE:
-        case = _BUILDERS[example_id]()
+        case = _build(example_id)
         self_check(case)
         _CACHE[example_id] = case
     return _CACHE[example_id]

@@ -30,8 +30,9 @@ _NEWTON_TOL.  If the line search stalls first, z counts as converged only when
 max|F(z)| is at the rounding level of evaluating F (4 eps times the largest row
 of |H||Phi| + |f| + |a1*a2/x|, plus the border row on the Neumann branch) and
 the Newton step is below sqrt(eps)*max|z|; otherwise NonlinearSolveError is
-raised.  An exactly singular J (p = 0 on the Neumann branch leaves y(0) free)
-gets the minimum-norm least-squares step and kappa_inf = inf.
+raised, as it is when f_y is not finite at an iterate.  An exactly singular
+J (p = 0 on the Neumann branch leaves y(0) free) gets the minimum-norm
+least-squares step and kappa_inf = inf.
 """
 from __future__ import annotations
 
@@ -56,7 +57,6 @@ __all__ = [
 _NEWTON_TOL = 1e-13
 _NEWTON_MAXITER = 200
 _ARMIJO_HALVINGS = 30
-_FD_STEP = 1e-7
 #: A stalled line search converged if max|F| <= _FLOOR_FACTOR * eps * (largest
 #: row of |terms| of F) and max|step| <= _STEP_RTOL * max|z|.
 _FLOOR_FACTOR = 4.0
@@ -76,8 +76,9 @@ class ProblemSpec:
 
     Boundary conditions are y'(0) = alpha1 and beta*y(b) + gamma*y'(b) = delta.
     Linear problems supply p and g with f(x, y) = p(x)*y - g(x); nonlinear
-    problems supply f(x, y) and optionally its partial derivative dfdy.
-    The scalar data, and p and g at the nodes, must be finite.
+    problems supply f(x, y) and its partial derivative dfdy = f_y, which
+    Newton's Jacobian uses.  The scalar data, and p and g at the nodes, must
+    be finite.
     """
 
     kind: str
@@ -104,8 +105,8 @@ class ProblemSpec:
             raise ValueError("beta and gamma cannot both vanish")
         if self.kind == "linear" and (self.p is None or self.g is None):
             raise ValueError("linear problems require both p and g")
-        if self.kind == "nonlinear" and self.f is None:
-            raise ValueError("nonlinear problems require f")
+        if self.kind == "nonlinear" and (self.f is None or self.dfdy is None):
+            raise ValueError("nonlinear problems require both f and dfdy")
 
 
 @dataclass(frozen=True)
@@ -171,18 +172,6 @@ def _linear_step(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(a, rhs, rcond=None)[0]
-
-
-def _dfdy_or_fd(spec: ProblemSpec) -> Callable:
-    """Analytic df/dy when supplied, else a central finite difference in y."""
-    if spec.dfdy is not None:
-        return spec.dfdy
-
-    def fd(x, y):
-        h = _FD_STEP * np.maximum(1.0, np.abs(y))
-        return (spec.f(x, y + h) - spec.f(x, y - h)) / (2.0 * h)
-
-    return fd
 
 
 def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
@@ -266,7 +255,7 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         def dfdy(_, y):
             return pvals
     else:
-        f, dfdy = spec.f, _dfdy_or_fd(spec)
+        f, dfdy = spec.f, spec.dfdy
 
     if robin:  # z = Phi
         xbar = (spec.delta - spec.gamma * spec.alpha1) / spec.beta + spec.alpha1 * (x - spec.b)
@@ -289,6 +278,9 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         # H + f_y * dy/dPhi formed in place; Neumann borders it with the
         # column dF/dy0 = f_y and the row of the right-end condition.
         fy = dfdy(x, y_map(z))
+        if not np.all(np.isfinite(fy)):
+            bad = float(x[~np.isfinite(fy)][0])
+            raise NonlinearSolveError(f"f_y not finite at x = {bad:.17g}")
         jac = np.zeros((z.size, z.size))
         np.multiply(fy[:, None], theta, out=jac[:m, :m])
         jac[:m, :m] += h

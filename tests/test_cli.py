@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from laneps.cli import main
+from laneps.config import load_config
 
 REPO = Path(__file__).resolve().parent.parent
-CONFIGS = REPO / "docs" / "configs"
+CONFIGS = REPO / "src" / "laneps" / "configs"
 
 
 def run(capsys, *argv):
@@ -174,6 +175,30 @@ class TestSolve:
         _, via_config, _ = run(capsys, "solve", "--config",
                                str(CONFIGS / "example3.cfg"))
         assert via_registry == via_config
+
+    @pytest.mark.parametrize("ex_id", [2, 4, 5])
+    def test_nonlinear_config_matches_the_example_at_its_settings(self, capsys, ex_id):
+        """One file feeds both paths: same nodes, MAE and report, bit for bit."""
+        cfg = load_config(CONFIGS / f"example{ex_id}.cfg")
+        _, via_registry, _ = run(capsys, "example", str(ex_id), "--n", str(cfg.n),
+                                 "--alpha", repr(cfg.alpha))
+        code, via_config, _ = run(capsys, "solve", "--config",
+                                  str(CONFIGS / f"example{ex_id}.cfg"))
+        assert code == 0 and "mae = " in via_config
+        assert via_registry == via_config
+
+    @pytest.mark.parametrize("source", ["x", "3"])
+    def test_nonlinear_config_with_a_y_free_source_solves(self, capsys, tmp_path, source):
+        # f_y is an exact zero here; the solve is one Newton step.
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(
+            "kind = nonlinear\nalpha1 = 0\nalpha2 = 1\nbeta = 1\ngamma = 0\n"
+            f"delta = 0\nb = 1\nf = {source}\nn = 6\nalpha = 0.5\neval_points = 5\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "solve", "--config", str(cfg))
+        assert code == 0 and err == ""
+        assert "newton_iters = 1" in out
 
     def test_config_without_exact_solution_reports_values_only(self, capsys, tmp_path):
         cfg = tmp_path / "plain.cfg"

@@ -1,9 +1,12 @@
 """Tests for the key-value problem-config parser."""
 import math
+from pathlib import Path
 
 import pytest
 
 from laneps.config import ConfigError, load_config, parse_config_text
+
+CONFIGS = Path(__file__).resolve().parent.parent / "src" / "laneps" / "configs"
 
 LINEAR = """\
 # toy problem
@@ -66,7 +69,7 @@ eval_points = 11
 
     def test_shipped_configs_parse(self):
         for i in range(1, 6):
-            cfg = load_config(f"docs/configs/example{i}.cfg")
+            cfg = load_config(CONFIGS / f"example{i}.cfg")
             assert cfg.n >= 1
             assert cfg.exact is not None
 

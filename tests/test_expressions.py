@@ -1,6 +1,9 @@
 """Tests for the arithmetic expression grammar used by problem configs."""
 import math
+import random
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -130,3 +133,110 @@ class TestDomainErrors:
         expr = parse_expression("log(x) + 1/x + sqrt(x)", ("x",))
         out = expr(np.array([0.5, 2.0]))
         assert np.all(np.isfinite(out))
+
+
+def _random_expression(rng, depth):
+    """A random expression over x and y: its text and an mpmath evaluator.
+
+    Every grammar operator and function can appear; log, sqrt, division and
+    powers with a variable exponent get arguments kept away from their
+    domain edges, and tan gets |argument| <= 1.
+    """
+    if depth == 0:
+        leaf = rng.choice(["x", "y", "num"])
+        if leaf == "num":
+            c = round(rng.uniform(0.5, 2.0), 3)
+            return repr(c), lambda x, y: mpmath.mpf(repr(c))
+        return leaf, (lambda x, y: x) if leaf == "x" else (lambda x, y: y)
+    a, fa = _random_expression(rng, depth - 1)
+    b, fb = _random_expression(rng, rng.randrange(depth))
+    kind = rng.choice(["+", "-", "*", "/", "neg", "^int", "^frac", "pow", "sin", "cos",
+                       "tan", "exp", "log", "sqrt", "sinh", "cosh", "abs"])
+    if kind == "+":
+        return f"({a}) + ({b})", lambda x, y: fa(x, y) + fb(x, y)
+    if kind == "-":
+        return f"({a}) - ({b})", lambda x, y: fa(x, y) - fb(x, y)
+    if kind == "*":
+        return f"({a})*({b})", lambda x, y: fa(x, y) * fb(x, y)
+    if kind == "/":
+        return f"({a})/(1 + ({b})^2)", lambda x, y: fa(x, y) / (1 + fb(x, y) ** 2)
+    if kind == "neg":
+        return f"-({a})", lambda x, y: -fa(x, y)
+    if kind == "^int":
+        k = rng.choice([2, 3])
+        return f"({a})^{k}", lambda x, y: fa(x, y) ** k
+    if kind == "^frac":
+        k = rng.choice(["0.5", "-1.5"])
+        return (f"(1 + ({a})^2)^{k}",
+                lambda x, y: mpmath.power(1 + fa(x, y) ** 2, mpmath.mpf(k)))
+    if kind == "pow":
+        return (f"pow(1 + ({a})^2, {b})",
+                lambda x, y: mpmath.power(1 + fa(x, y) ** 2, fb(x, y)))
+    if kind == "tan":
+        return f"tan(sin({a}))", lambda x, y: mpmath.tan(mpmath.sin(fa(x, y)))
+    if kind in ("log", "sqrt"):
+        fn = getattr(mpmath, kind)
+        return f"{kind}(1 + ({a})^2)", lambda x, y: fn(1 + fa(x, y) ** 2)
+    fn = mpmath.fabs if kind == "abs" else getattr(mpmath, kind)
+    return f"{kind}({a})", lambda x, y: fn(fa(x, y))
+
+
+class TestDerivative:
+    def test_matches_mpmath_on_random_expressions(self):
+        rng = random.Random(20170)
+        points = [(0.3, -0.7), (0.55, 0.2), (0.9, 0.85)]
+        used = set()
+        mpmath.mp.dps = 50
+        try:
+            for _ in range(80):
+                text, exact = _random_expression(rng, rng.randrange(1, 4))
+                used.update(re.findall(r"[a-z]+|[-+*/^]", text))
+                expr = parse_expression(text, ("x", "y"))
+                x = np.array([p[0] for p in points])
+                y = np.array([p[1] for p in points])
+                for var in ("x", "y"):
+                    ours = expr.derivative(var)(x, y)
+                    for k, (px, py) in enumerate(points):
+                        if var == "x":
+                            ref = mpmath.diff(lambda t: exact(t, mpmath.mpf(py)), mpmath.mpf(px))
+                        else:
+                            ref = mpmath.diff(lambda t: exact(mpmath.mpf(px), t), mpmath.mpf(py))
+                        ref = float(ref)
+                        assert abs(ours[k] - ref) <= 1e-11 * max(1.0, abs(ref)), (text, var)
+        finally:
+            mpmath.mp.dps = 15
+        grammar = {"+", "-", "*", "/", "^", "pow", "sin", "cos", "tan", "exp", "log", "sqrt",
+                   "sinh", "cosh", "abs"}
+        assert grammar <= used
+
+    def test_variable_free_subtrees_are_pruned(self):
+        x = np.linspace(0.1, 1.0, 7)
+        y = np.linspace(-1.0, 2.0, 7)
+        f = parse_expression("sin(y) - cos(x) + 2/x", ("x", "y"))
+        assert np.array_equal(f.derivative("y")(x, y), np.cos(y))
+        g = parse_expression("y^5", ("x", "y"))
+        assert np.array_equal(g.derivative("y")(x, y), 5.0 * y**4)
+
+    def test_calls_return_arrays_of_the_broadcast_shape(self):
+        x = np.linspace(0.0, 1.0, 5)
+        exact = parse_expression("pi/2 - x", ("x",))
+        slope = exact.derivative("x")(x)
+        assert isinstance(slope, np.ndarray) and slope.shape == x.shape
+        assert np.all(slope == -1.0)
+        assert np.all(exact.derivative("x").derivative("x")(x) == 0.0)
+        for text in ("3", "x"):
+            fy = parse_expression(text, ("x", "y")).derivative("y")(x, x)
+            assert isinstance(fy, np.ndarray) and fy.shape == x.shape
+            assert np.all(fy == 0.0)
+        p = parse_expression("0", ("x",))(x)
+        assert isinstance(p, np.ndarray) and p.shape == x.shape
+        assert parse_expression("2^3", ())().shape == ()
+
+    def test_derivative_has_no_domain_checks(self):
+        # The value path raises; the derivative returns inf without a warning.
+        f = parse_expression("sqrt(y) - 1", ("x", "y"))
+        assert np.all(np.isinf(f.derivative("y")(np.ones(3), np.zeros(3))))
+
+    def test_unknown_variable_is_rejected(self):
+        with pytest.raises(ValueError, match="'y' is not a variable"):
+            parse_expression("x^2", ("x",)).derivative("y")

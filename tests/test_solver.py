@@ -4,7 +4,7 @@ import pytest
 
 from laneps import solver
 from laneps.basis import BasisConfig
-from laneps.expressions import DomainEvalError, parse_expression
+from laneps.expressions import DomainEvalError, Expression, parse_expression
 from laneps.quadrature import build_operators
 from laneps.registry import get_example
 from laneps.solver import (
@@ -127,22 +127,30 @@ class TestNewton:
         r = solve_problem(case.spec, n, alpha)
         assert np.max(np.abs(r.residual_nodes)) <= 1e-10
 
-    def test_difference_jacobian_matches_analytic(self):
-        case = get_example(4)
-        spec = case.spec
-        no_jac = ProblemSpec(
-            kind="nonlinear", alpha1=spec.alpha1, alpha2=spec.alpha2,
-            beta=spec.beta, gamma=spec.gamma, delta=spec.delta, b=spec.b,
-            f=spec.f, dfdy=None,
-        )
-        ra = solve_problem(spec, 10, 0.5)
-        rb = solve_problem(no_jac, 10, 0.5)
-        assert np.max(np.abs(ra.y_nodes - rb.y_nodes)) <= 1e-9
+    def test_nonlinear_spec_without_dfdy_is_rejected(self):
+        # There is no difference-quotient fallback for a missing f_y.
+        spec = get_example(4).spec
+        with pytest.raises(ValueError, match="^nonlinear problems require both f and dfdy$"):
+            ProblemSpec(
+                kind="nonlinear", alpha1=spec.alpha1, alpha2=spec.alpha2,
+                beta=spec.beta, gamma=spec.gamma, delta=spec.delta, b=spec.b,
+                f=spec.f,
+            )
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_non_finite_f_y_raises(self, n):
+        # f_y = 1/(2 sqrt(y)) is inf at the start y = 0; it must not reach J.
+        f = parse_expression("sqrt(y) - 1", ("x", "y"))
+        spec = ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=2.0, beta=1.0, gamma=0.0,
+                           delta=0.0, b=1.0, f=f, dfdy=f.derivative("y"))
+        with pytest.raises(NonlinearSolveError, match="^f_y not finite at x = "):
+            solve_problem(spec, n, 0.5)
 
     def test_unsolvable_problem_raises(self):
         spec = ProblemSpec(
             kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=1.0, gamma=0.0,
             delta=0.0, b=1.0, f=lambda x, y: np.exp(60.0 * y) - 1e6,
+            dfdy=lambda x, y: 60.0 * np.exp(60.0 * y),
         )
         with pytest.raises(NonlinearSolveError):
             solve_problem(spec, 8, 0.5)
@@ -227,11 +235,13 @@ class TestCoarseStart:
 
     @pytest.mark.parametrize("f,error,match", [
         (lambda x, y: 3.4 * np.exp(y), NonlinearSolveError, "line search stalled"),
-        (parse_expression("sqrt(y) - 1", ("x", "y")), DomainEvalError, "square root"),
+        (parse_expression("log(y)", ("x", "y")), DomainEvalError, "log of a nonpositive"),
     ])
     def test_failed_coarse_run_leaves_the_fine_run_to_raise(self, monkeypatch, f, error, match):
-        # Spherical Bratu past its fold, and f' by differences stepping below
-        # y = 0: both fail at n = 32 and again from z = 0 at n = 256.
+        # Spherical Bratu past its fold, and f = log(y) outside its domain at
+        # the start y = 0: both fail at n = 32 and again from z = 0 at n = 256.
+        # The Bratu source is its own y-derivative.
+        dfdy = f.derivative("y") if isinstance(f, Expression) else f
         sizes = []
 
         def recording(x, y):
@@ -239,7 +249,7 @@ class TestCoarseStart:
             return f(x, y)
 
         spec = ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=2.0, beta=1.0, gamma=0.0,
-                           delta=0.0, b=1.0, f=recording)
+                           delta=0.0, b=1.0, f=recording, dfdy=dfdy)
         degrees = _record_build_degrees(monkeypatch)
         with pytest.raises(error, match=match):
             solver.solve_problem(spec, 256, 0.5)
@@ -300,18 +310,20 @@ class TestResultInterface:
 
 class TestValidation:
     def test_rejects_inconsistent_specifications(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^kind must be"):
             ProblemSpec(kind="weird", alpha1=0.0, alpha2=1.0, beta=1.0,
                         gamma=0.0, delta=0.0, f=lambda x, y: y)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^beta and gamma cannot both vanish$"):
             ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=0.0,
-                        gamma=0.0, delta=0.0, f=lambda x, y: y)
+                        gamma=0.0, delta=0.0, f=lambda x, y: y,
+                        dfdy=lambda x, y: np.ones_like(y))
         with pytest.raises(ValueError):
             ProblemSpec(kind="linear", alpha1=0.0, alpha2=1.0, beta=1.0,
                         gamma=0.0, delta=0.0, p=lambda x: x)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^interval length must be positive"):
             ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=1.0,
-                        gamma=0.0, delta=0.0, b=-1.0, f=lambda x, y: y)
+                        gamma=0.0, delta=0.0, b=-1.0, f=lambda x, y: y,
+                        dfdy=lambda x, y: np.ones_like(y))
         bc = dict(alpha1=0.0, alpha2=1.0, beta=1.0, gamma=0.0, delta=0.0, b=1.0)
         for key, bad in (("b", np.nan), ("b", np.inf), ("delta", np.nan), ("alpha1", np.inf),
                          ("alpha2", np.nan), ("beta", -np.inf), ("gamma", np.nan)):
@@ -338,6 +350,7 @@ class TestValidation:
 
     def test_non_finite_nonlinear_residual_raises(self):
         spec = ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=1.0,
-                           gamma=0.0, delta=0.0, f=lambda x, y: np.full_like(x, np.nan))
+                           gamma=0.0, delta=0.0, f=lambda x, y: np.full_like(x, np.nan),
+                           dfdy=lambda x, y: np.zeros_like(y))
         with pytest.raises(NonlinearSolveError, match="not finite at the initial guess"):
             solve_problem(spec, 8, 0.5)
