@@ -67,7 +67,7 @@ _COARSE_N = 32
 
 
 class NonlinearSolveError(RuntimeError):
-    """Raised when the damped Newton iteration fails to converge."""
+    """Raised when the damped Newton iteration cannot start or fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class ProblemSpec:
     Boundary conditions are y'(0) = alpha1 and beta*y(b) + gamma*y'(b) = delta.
     Linear problems supply p and g with f(x, y) = p(x)*y - g(x); nonlinear
     problems supply f(x, y) and its partial derivative dfdy = f_y, which
-    Newton's Jacobian uses.  The scalar data, and p and g at the nodes, must
-    be finite.
+    Newton's Jacobian uses; ``solve`` raises NonlinearSolveError without it.
+    The scalar data, and p and g at the nodes, must be finite.
     """
 
     kind: str
@@ -105,8 +105,8 @@ class ProblemSpec:
             raise ValueError("beta and gamma cannot both vanish")
         if self.kind == "linear" and (self.p is None or self.g is None):
             raise ValueError("linear problems require both p and g")
-        if self.kind == "nonlinear" and (self.f is None or self.dfdy is None):
-            raise ValueError("nonlinear problems require both f and dfdy")
+        if self.kind == "nonlinear" and self.f is None:
+            raise ValueError("nonlinear problems require f")
 
 
 @dataclass(frozen=True)
@@ -254,6 +254,8 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
 
         def dfdy(_, y):
             return pvals
+    elif spec.dfdy is None:  # there is no difference-quotient fallback
+        raise NonlinearSolveError("nonlinear problems require dfdy = f_y for the Jacobian")
     else:
         f, dfdy = spec.f, spec.dfdy
 

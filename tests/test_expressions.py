@@ -186,8 +186,7 @@ class TestDerivative:
         rng = random.Random(20170)
         points = [(0.3, -0.7), (0.55, 0.2), (0.9, 0.85)]
         used = set()
-        mpmath.mp.dps = 50
-        try:
+        with mpmath.workdps(50):
             for _ in range(80):
                 text, exact = _random_expression(rng, rng.randrange(1, 4))
                 used.update(re.findall(r"[a-z]+|[-+*/^]", text))
@@ -203,8 +202,6 @@ class TestDerivative:
                             ref = mpmath.diff(lambda t: exact(mpmath.mpf(px), t), mpmath.mpf(py))
                         ref = float(ref)
                         assert abs(ours[k] - ref) <= 1e-11 * max(1.0, abs(ref)), (text, var)
-        finally:
-            mpmath.mp.dps = 15
         grammar = {"+", "-", "*", "/", "^", "pow", "sin", "cos", "tan", "exp", "log", "sqrt",
                    "sinh", "cosh", "abs"}
         assert grammar <= used

@@ -127,15 +127,16 @@ class TestNewton:
         r = solve_problem(case.spec, n, alpha)
         assert np.max(np.abs(r.residual_nodes)) <= 1e-10
 
-    def test_nonlinear_spec_without_dfdy_is_rejected(self):
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_nonlinear_spec_without_dfdy_is_rejected(self, n):
         # There is no difference-quotient fallback for a missing f_y.
         spec = get_example(4).spec
-        with pytest.raises(ValueError, match="^nonlinear problems require both f and dfdy$"):
-            ProblemSpec(
-                kind="nonlinear", alpha1=spec.alpha1, alpha2=spec.alpha2,
-                beta=spec.beta, gamma=spec.gamma, delta=spec.delta, b=spec.b,
-                f=spec.f,
-            )
+        bare = ProblemSpec(
+            kind="nonlinear", alpha1=spec.alpha1, alpha2=spec.alpha2,
+            beta=spec.beta, gamma=spec.gamma, delta=spec.delta, b=spec.b, f=spec.f,
+        )
+        with pytest.raises(NonlinearSolveError, match="^nonlinear problems require dfdy"):
+            solve_problem(bare, n, 0.5)
 
     @pytest.mark.parametrize("n", [32, 256])
     def test_non_finite_f_y_raises(self, n):
