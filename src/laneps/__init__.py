@@ -14,6 +14,7 @@ from .basis import (
     eval_gegenbauer,
     gauss_radau_nodes,
     node_polynomial,
+    node_table,
     normalization,
     shift_nodeset,
     standard_nodeset,
@@ -34,7 +35,6 @@ from .quadrature import (
     IntegrationOperators,
     build_operators,
     build_q1,
-    build_q2,
     integrate_basis,
     interpolate,
     shift_operators,
@@ -83,7 +83,6 @@ __all__ = [
     "bound_solution_error",
     "build_operators",
     "build_q1",
-    "build_q2",
     "christoffel_weights",
     "eval_gegenbauer",
     "gauss_radau_nodes",
@@ -92,6 +91,7 @@ __all__ = [
     "interpolate",
     "load_config",
     "node_polynomial",
+    "node_table",
     "normalization",
     "parse_config_text",
     "parse_expression",

@@ -9,7 +9,9 @@ orthogonal on [-1, 1] against the weight (1 - x^2)^(a - 1/2) for a > -1/2.
 a = 0 gives the Chebyshev polynomials of the first kind and a = 1/2 the
 Legendre polynomials.  Collocation uses the right-endpoint Gauss-Radau points:
 x = 1 together with the n roots of q_n = G_{n+1} - G_n, computed as Golub–Welsch
-eigenvalues of the Jacobi matrix, one Newton polish.
+eigenvalues of the Jacobi matrix, one Newton polish.  A standard basis
+evaluates G_0 .. G_{n+1} once at the polished nodes (``node_table``); the
+Christoffel weights, the barycentric weights and Q1 all read that table.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ __all__ = [
     "node_polynomial",
     "normalization",
     "gauss_radau_nodes",
+    "node_table",
     "christoffel_weights",
     "standard_nodeset",
     "shift_nodeset",
@@ -60,8 +63,7 @@ class NodeSet:
 
     nodes are strictly descending, starting at the right endpoint of
     ``interval``.  ``weights`` are the Gauss-Radau Christoffel weights against
-    the Gegenbauer weight function; ``lambdas`` are the squared norms of
-    G_0 .. G_n against the same weight.  ``bary`` are the barycentric
+    the Gegenbauer weight function.  ``bary`` are the barycentric
     interpolation weights 1/q_n'(x_k) of the standard nodes: the nodes are the
     n+1 roots of q_n, and an affine map scales every weight by one factor,
     which cancels in the barycentric formula.
@@ -71,12 +73,11 @@ class NodeSet:
     n: int
     nodes: np.ndarray
     weights: np.ndarray
-    lambdas: np.ndarray
     bary: np.ndarray
     interval: tuple[float, float]
 
     def __post_init__(self):
-        for arr in (self.nodes, self.weights, self.lambdas, self.bary):
+        for arr in (self.nodes, self.weights, self.bary):
             arr.setflags(write=False)
 
 
@@ -179,20 +180,26 @@ def christoffel_weights(cfg: BasisConfig, nodes: np.ndarray, g_n: np.ndarray) ->
     return weights
 
 
-def standard_nodeset(cfg: BasisConfig) -> NodeSet:
-    """Nodes, weights, basis norms and barycentric weights on [-1, 1]."""
-    nodes = gauss_radau_nodes(cfg)
-    g = eval_gegenbauer(cfg.alpha, cfg.n + 1, nodes)
+def node_table(cfg: BasisConfig) -> np.ndarray:
+    """G_0 .. G_{n+1} at the Gauss-Radau nodes; row 1 holds the nodes themselves."""
+    return eval_gegenbauer(cfg.alpha, cfg.n + 1, gauss_radau_nodes(cfg))
+
+
+def standard_nodeset(cfg: BasisConfig, *, table: np.ndarray | None = None) -> NodeSet:
+    """Nodes, weights and barycentric weights on [-1, 1], read from ``node_table(cfg)``.
+
+    A caller that has evaluated that table already passes it as ``table``.
+    """
+    g = node_table(cfg) if table is None else table
+    nodes = g[1].copy()  # a view would keep the whole table alive in the memo
     weights = christoffel_weights(cfg, nodes, g[cfg.n])
-    lambdas = np.array([normalization(cfg.alpha, j) for j in range(cfg.n + 1)])
     bary = 1.0 / _node_derivative(cfg.alpha, g)
-    return NodeSet(cfg.alpha, cfg.n, nodes, weights, lambdas, bary, (-1.0, 1.0))
+    return NodeSet(cfg.alpha, cfg.n, nodes, weights, bary, (-1.0, 1.0))
 
 
 def shift_nodeset(nodeset: NodeSet, b: float) -> NodeSet:
-    """Map a standard nodeset onto [0, b]: x -> (b/2)(x+1), scales by (b/2)^(2a).
+    """Map a standard nodeset onto [0, b]: x -> (b/2)(x+1), weights scale by (b/2)^(2a).
 
-    Both the weights and the basis norms pick up the same (b/2)^(2a) factor.
     The barycentric weights pass through unchanged: their scale cancels.
     """
     if not math.isfinite(b):
@@ -207,7 +214,6 @@ def shift_nodeset(nodeset: NodeSet, b: float) -> NodeSet:
         nodeset.n,
         (b / 2.0) * (nodeset.nodes + 1.0),
         factor * nodeset.weights,
-        factor * nodeset.lambdas,
         nodeset.bary,
         (0.0, b),
     )

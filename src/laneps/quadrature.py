@@ -3,8 +3,9 @@
 The first-order operator maps samples of a function at the Gauss-Radau nodes
 to approximations of its integral from the left endpoint to each node; the
 second-order operator does the same for the iterated (double) integral.  Both
-are dense (n+1) x (n+1) matrices acting on node-value vectors, assembled on
-[-1, 1] and mapped affinely onto [0, b].
+are dense (n+1) x (n+1) matrices acting on node-value vectors.  Q1 is built
+on [-1, 1] from the nodeset's own table of G_0 .. G_{n+1} (``node_table``),
+once per (alpha, n); ``shift_operators`` maps it onto [0, b] and forms Q2.
 """
 from __future__ import annotations
 
@@ -13,35 +14,33 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisConfig, NodeSet, eval_gegenbauer, shift_nodeset, standard_nodeset
+from .basis import (BasisConfig, NodeSet, eval_gegenbauer, node_table, normalization,
+                    shift_nodeset, standard_nodeset)
 
 __all__ = [
     "IntegrationOperators",
     "integrate_basis",
     "build_q1",
-    "build_q2",
     "shift_operators",
     "build_operators",
     "interpolate",
 ]
 
-#: Standard bases (nodes, weights, norms and Q1) kept for reuse across solves;
-#: at n = 512 each holds a 2 MB Q1.
+#: Standard bases (the nodeset and Q1, both read from one Gegenbauer table)
+#: kept for reuse across solves; at n = 512 each holds a 2 MB Q1.
 _BASIS_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
 class IntegrationOperators:
-    """Standard first-order and shifted first- and second-order integration matrices."""
+    """The nodeset and the first- and second-order integration matrices on [0, b]."""
 
-    standard: NodeSet
     shifted: NodeSet
-    q1: np.ndarray
     q1_shifted: np.ndarray
     q2_shifted: np.ndarray
 
     def __post_init__(self):
-        for mat in (self.q1, self.q1_shifted, self.q2_shifted):
+        for mat in (self.q1_shifted, self.q2_shifted):
             mat.setflags(write=False)
 
     @property
@@ -78,50 +77,43 @@ def _antiderivatives(alpha: float, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_q1(nodeset: NodeSet) -> np.ndarray:
+def build_q1(nodeset: NodeSet, *, table: np.ndarray) -> np.ndarray:
     """First-order integration matrix on the standard interval.
 
     Entry (i, k) is the weight multiplying f(x_k) in the approximation of the
     integral of f from -1 to x_i: the interpolant of f in the basis is
     integrated term by term, so Q1 = I^T (G / lambda) diag(w) with
-    G[j, k] = G_j(x_k) and I[j, i] the antiderivative of G_j at x_i.
+    G[j, k] = G_j(x_k), lambda_j the squared norm of G_j and I[j, i] the
+    antiderivative of G_j at x_i.  ``table`` is ``node_table`` of the nodeset.
     """
     if nodeset.interval != (-1.0, 1.0):
         raise ValueError("build_q1 expects a standard [-1, 1] nodeset")
-    g = eval_gegenbauer(nodeset.alpha, nodeset.n + 1, nodeset.nodes)
-    anti = _antiderivatives(nodeset.alpha, g)
-    return (anti.T @ (g[:-1] / nodeset.lambdas[:, None])) * nodeset.weights[None, :]
-
-
-def build_q2(q1: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Second-order integration matrix: entry (i, k) is (x_i - x_k) Q1[i, k].
-
-    Swapping the order of the double integral collapses it to a single
-    integral with kernel (x - t), which the rule above applies entrywise.
-    The diagonal is exactly zero.
-    """
-    return (nodes[:, None] - nodes[None, :]) * q1
+    lambdas = np.array([normalization(nodeset.alpha, j) for j in range(nodeset.n + 1)])
+    anti = _antiderivatives(nodeset.alpha, table)
+    return (anti.T @ (table[:-1] / lambdas[:, None])) * nodeset.weights[None, :]
 
 
 def shift_operators(q1: np.ndarray, standard: NodeSet, b: float) -> IntegrationOperators:
-    """Map standard-interval operators onto [0, b].
+    """Map the standard nodeset and Q1 onto [0, b] and build Q2 there.
 
-    The first-order matrix scales by exactly b/2 under the affine map; the
-    second-order matrix is built from the shifted abscissas so that the
-    kernel factor (x_i - x_k) is exact in the shifted variable.
+    The first-order matrix scales by exactly b/2 under the affine map.  Q2
+    swaps the order of the double integral, which collapses it to a single
+    integral with kernel (x - t): entry (i, k) is (x_i - x_k) Q1[i, k] in the
+    shifted abscissas, so the kernel factor is exact there and the diagonal
+    is exactly zero.
     """
     shifted = shift_nodeset(standard, b)
     q1_shifted = (b / 2.0) * q1
-    return IntegrationOperators(
-        standard, shifted, q1, q1_shifted, build_q2(q1_shifted, shifted.nodes)
-    )
+    x = shifted.nodes
+    return IntegrationOperators(shifted, q1_shifted, (x[:, None] - x[None, :]) * q1_shifted)
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _standard_basis(cfg: BasisConfig) -> tuple[NodeSet, np.ndarray]:
-    """The standard nodeset and its Q1, shared by every b and every problem."""
-    standard = standard_nodeset(cfg)
-    q1 = build_q1(standard)
+    """The standard nodeset and its Q1, read from one node table, shared by every b."""
+    table = node_table(cfg)
+    standard = standard_nodeset(cfg, table=table)
+    q1 = build_q1(standard, table=table)
     q1.setflags(write=False)
     return standard, q1
 
@@ -137,13 +129,13 @@ def interpolate(nodeset: NodeSet, values: np.ndarray, x) -> np.ndarray:
 
     Uses the barycentric formula of the second kind (Berrut & Trefethen, SIAM
     Review 46, 2004) on ``nodeset.bary``.  A point that equals a node returns
-    that node's value exactly.
+    that node's value exactly.  The result has the shape of ``np.atleast_1d(x)``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    diff = x[:, None] - nodeset.nodes[None, :]
+    diff = x.reshape(-1, 1) - nodeset.nodes[None, :]
     hit = diff == 0.0
     with np.errstate(divide="ignore"):
         c = nodeset.bary / diff
     on_node = hit.any(axis=1)
     c[on_node] = hit[on_node]
-    return (c @ np.asarray(values)) / c.sum(axis=1)
+    return ((c @ np.asarray(values)) / c.sum(axis=1)).reshape(x.shape)

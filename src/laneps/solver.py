@@ -141,7 +141,7 @@ class SolverResult:
         return self.nodeset.nodes
 
     def evaluate(self, x) -> np.ndarray:
-        """Evaluate the approximate solution at arbitrary points of [0, b].
+        """Evaluate the approximate solution at points of [0, b], of any shape.
 
         x = 0 returns the recovered y(0).  Every other point gets the
         barycentric interpolant of the node values, which is a node's value
@@ -222,7 +222,7 @@ def _newton_start(spec: ProblemSpec, ops: IntegrationOperators, robin: bool):
     solution on the nodes of ``ops``; below that, or if it fails, (None, 0)."""
     m = ops.nodes.size
     if m - 1 >= 8 * _COARSE_N:
-        coarse_ops = build_operators(BasisConfig(ops.standard.alpha, _COARSE_N), spec.b)
+        coarse_ops = build_operators(BasisConfig(ops.shifted.alpha, _COARSE_N), spec.b)
         try:
             coarse = solve(spec, coarse_ops)
         except (NonlinearSolveError, ArithmeticError):

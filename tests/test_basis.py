@@ -178,7 +178,8 @@ class TestWeights:
         """sum_j w_j G_k(x_j) G_l(x_j) = lambda_k delta_kl for k + l <= 2n."""
         ns = standard_nodeset(BasisConfig(alpha, n))
         g = eval_gegenbauer(alpha, n, ns.nodes)
-        gram = (g * ns.weights[None, :]) @ g.T / ns.lambdas[:, None]
+        lambdas = np.array([normalization(alpha, j) for j in range(n + 1)])
+        gram = (g * ns.weights[None, :]) @ g.T / lambdas[:, None]
         assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-10
 
     @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])

@@ -1,4 +1,5 @@
 """Tests for integration operators, basis antiderivatives, and interpolation."""
+import math
 import warnings
 
 import mpmath
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from laneps import quadrature
-from laneps.basis import BasisConfig, shift_nodeset, standard_nodeset
+from laneps import basis, quadrature
+from laneps.basis import BasisConfig, node_table, shift_nodeset, standard_nodeset
 from laneps.quadrature import (
     build_operators,
     build_q1,
@@ -76,16 +77,18 @@ class TestFirstOrderOperator:
             assert np.max(np.abs(approx - exact)) / np.max(np.abs(exact)) <= 1e-11
 
     def test_integrates_constants_to_node_offsets(self):
-        ops = build_operators(BasisConfig(0.3, 9), 1.0)
+        cfg = BasisConfig(0.3, 9)
+        ops = build_operators(cfg, 1.0)
         ones = np.ones(10)
-        standard = build_q1(ops.standard)
-        assert np.max(np.abs(standard @ ones - (ops.standard.nodes + 1.0))) <= 1e-12
+        standard = standard_nodeset(cfg)
+        q1 = build_q1(standard, table=node_table(cfg))
+        assert np.max(np.abs(q1 @ ones - (standard.nodes + 1.0))) <= 1e-12
         assert np.max(np.abs(ops.q1_shifted @ ones - ops.shifted.nodes)) <= 1e-12
 
     def test_b_two_reuses_the_standard_matrix(self):
         cfg = BasisConfig(1.1, 7)
         ops = build_operators(cfg, 2.0)
-        standard = build_q1(standard_nodeset(cfg))
+        standard = build_q1(standard_nodeset(cfg), table=node_table(cfg))
         assert np.all(ops.q1_shifted == standard)
 
 
@@ -111,7 +114,7 @@ class TestSecondOrderOperator:
         """Building via shift_operators matches build_operators."""
         cfg = BasisConfig(0.8, 6)
         standard = standard_nodeset(cfg)
-        q1 = build_q1(standard)
+        q1 = build_q1(standard, table=node_table(cfg))
         ops = shift_operators(q1, standard, 1.5)
         direct = build_operators(cfg, 1.5)
         assert np.all(ops.q1_shifted == direct.q1_shifted)
@@ -122,8 +125,23 @@ class TestStandardBasisMemo:
     def test_shared_across_interval_lengths(self):
         cfg = BasisConfig(0.7, 9)
         first, second = build_operators(cfg, 1.0), build_operators(cfg, 2.5)
-        assert first.standard is second.standard
-        assert first.q1 is second.q1
+        # The shift passes the standard barycentric weights through unchanged.
+        assert first.shifted.bary is second.shifted.bary
+
+    def test_a_build_evaluates_the_gegenbauer_table_once_at_the_nodes(self, monkeypatch):
+        """One evaluation for the Newton polish, one at the nodes for weights, bary and Q1."""
+        calls = []
+        original = basis.eval_gegenbauer
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(basis, "eval_gegenbauer", counted)
+        monkeypatch.setattr(quadrature, "eval_gegenbauer", counted)
+        quadrature._standard_basis.cache_clear()
+        build_operators(BasisConfig(0.5, 12), 1.5)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID + (-0.499, 20.0))
     @pytest.mark.parametrize("n", [0, 1, 5, 32])
@@ -131,31 +149,38 @@ class TestStandardBasisMemo:
     def test_bit_identical_to_a_fresh_build(self, alpha, n, b):
         cfg = BasisConfig(alpha, n)
         standard = standard_nodeset(cfg)
-        fresh = shift_operators(build_q1(standard), standard, b)
+        fresh = shift_operators(build_q1(standard, table=node_table(cfg)), standard, b)
         for ops in (build_operators(cfg, b), build_operators(cfg, b)):
-            for ns in ("standard", "shifted"):
-                for field in ("nodes", "weights", "lambdas"):
-                    assert np.array_equal(
-                        getattr(getattr(ops, ns), field), getattr(getattr(fresh, ns), field)
-                    )
-            for field in ("q1", "q1_shifted", "q2_shifted"):
+            for field in ("nodes", "weights", "bary"):
+                assert np.array_equal(getattr(ops.shifted, field), getattr(fresh.shifted, field))
+            for field in ("q1_shifted", "q2_shifted"):
                 assert np.array_equal(getattr(ops, field), getattr(fresh, field))
 
     def test_least_recently_used_basis_is_rebuilt(self):
         cfg = BasisConfig(0.25, 3)
-        first = build_operators(cfg).standard
+        first = build_operators(cfg).shifted.bary
         for k in range(quadrature._BASIS_CACHE_SIZE):
             build_operators(BasisConfig(0.25, 4 + k))
-        assert build_operators(cfg).standard is not first
+        assert build_operators(cfg).shifted.bary is not first
 
     def test_public_builders_return_fresh_objects(self):
         cfg = BasisConfig(0.5, 6)
         assert standard_nodeset(cfg) is not standard_nodeset(cfg)
-        standard = standard_nodeset(cfg)
-        assert build_q1(standard) is not build_q1(standard)
+        standard, table = standard_nodeset(cfg), node_table(cfg)
+        assert build_q1(standard, table=table) is not build_q1(standard, table=table)
 
 
 class TestInterpolation:
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 1), (3, 1, 2)])
+    def test_keeps_the_shape_of_the_points(self, shape):
+        ns = shift_nodeset(standard_nodeset(BasisConfig(0.5, 8)), 1.5)
+        values = np.cos(ns.nodes)
+        flat = np.linspace(0.0, 1.5, math.prod(shape))
+        flat[1] = ns.nodes[3]
+        out = interpolate(ns, values, flat.reshape(shape))
+        assert out.shape == shape
+        assert np.array_equal(out, interpolate(ns, values, flat).reshape(shape))
+
     @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
     def test_cardinal_at_the_nodes(self, alpha):
         ns = standard_nodeset(BasisConfig(alpha, 9))
@@ -233,7 +258,9 @@ class TestInterpolation:
 
     def test_matrices_are_frozen(self):
         """Shifted operators, and the memoized standard ones they share, are read-only."""
-        ops = build_operators(BasisConfig(0.5, 4), 1.0)
-        for arr in (ops.q1_shifted, ops.q2_shifted, ops.q1, ops.standard.nodes):
+        cfg = BasisConfig(0.5, 4)
+        ops = build_operators(cfg, 1.0)
+        standard, q1 = quadrature._standard_basis(cfg)
+        for arr in (ops.q1_shifted, ops.q2_shifted, q1, standard.nodes, ops.shifted.bary):
             with pytest.raises(ValueError):
                 arr[0] = 0.0

@@ -289,6 +289,13 @@ class TestResultInterface:
         x = np.linspace(0.0, 1.0, 17)
         assert np.max(np.abs(r.evaluate(x) - (x**2 - 2.0))) <= 1e-10
 
+    def test_evaluate_keeps_the_shape_of_the_points(self):
+        r = solve_problem(_manufactured_linear(), 6, 0.5)
+        flat = np.linspace(0.0, 1.0, 6)
+        out = r.evaluate(flat.reshape(2, 3))
+        assert np.array_equal(out, r.evaluate(flat).reshape(2, 3))
+        assert out[0, 0] == r.y0
+
     @pytest.mark.parametrize("x", [np.inf, np.nan, -1.0, 2.0])
     def test_evaluate_rejects_points_outside_the_interval(self, x):
         r = solve_problem(get_example(1).spec, 16, 0.5)
