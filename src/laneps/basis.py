@@ -9,9 +9,12 @@ orthogonal on [-1, 1] against the weight (1 - x^2)^(a - 1/2) for a > -1/2.
 a = 0 gives the Chebyshev polynomials of the first kind and a = 1/2 the
 Legendre polynomials.  Collocation uses the right-endpoint Gauss-Radau points:
 x = 1 together with the n roots of q_n = G_{n+1} - G_n, computed as Golub–Welsch
-eigenvalues of the Jacobi matrix, one Newton polish.  A standard basis
-evaluates G_0 .. G_{n+1} once at the polished nodes (``node_table``); the
-Christoffel weights, the barycentric weights and Q1 all read that table.
+eigenvalues of the Jacobi matrix, one Newton polish.  One private pass of the
+recurrence yields the values G_0 .. G_m and their derivatives together, and
+every evaluation goes through it.  A standard basis makes two passes: one at
+the Golub–Welsch nodes for the polish (``node_polynomial``), and one at the
+polished nodes (``node_table``), whose table of G_0 .. G_{n+1} the
+Christoffel weights and Q1 read and whose q_n' gives the barycentric weights.
 """
 from __future__ import annotations
 
@@ -44,6 +47,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"Gegenbauer parameter must be finite and exceed -1/2, got {alpha}")
 
 
+def _check_degree(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+
+
 @dataclass(frozen=True)
 class BasisConfig:
     """Basis family parameter and truncation degree."""
@@ -53,8 +61,7 @@ class BasisConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.n < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.n}")
+        _check_degree(self.n)
 
 
 @dataclass(frozen=True)
@@ -81,32 +88,58 @@ class NodeSet:
             arr.setflags(write=False)
 
 
+def _recurrence(alpha: float, m: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """G_0 .. G_m and their derivatives at x in one pass; each has shape (m+1,) + shape(x).
+
+    Each degree step advances the stacked pair (G_k, G_k') by the recurrence
+    and its derivative
+
+        (k + 2a) G'_{k+1} = 2 (k + a) (G_k + x G'_k) - k G'_{k-1},
+
+    sharing the product by (2 (k+a) x, x), the k-multiple of the previous
+    pair, the subtraction and the division between the two rows.  Each row
+    keeps the operations and their order of its own recurrence, so both agree
+    bit for bit with the two evaluated in separate loops.
+    """
+    _check_alpha(alpha)
+    _check_degree(m)
+    x = np.asarray(x, dtype=float)
+    shape, x = x.shape, x.reshape(-1)  # 1-D, so that every row below is a view
+    out = np.empty((m + 1, 2, x.size))
+    out[0, 0], out[0, 1] = 1.0, 0.0
+    if m >= 1:
+        out[1, 0], out[1, 1] = x, 1.0
+    factor = np.empty((2, x.size))
+    factor[1] = x
+    scaled = np.empty_like(factor)
+    prev, cur = out[0], out[min(m, 1)]  # the loop below runs only for m >= 2
+    g = cur[0]
+    for k in range(1, m):
+        c = 2 * (k + alpha)
+        step = out[k + 1]
+        slope = step[1]
+        np.multiply(c, x, out=factor[0])
+        np.multiply(cur, factor, out=step)  # (c x G_k, x G_k')
+        np.add(g, slope, out=slope)
+        np.multiply(c, slope, out=slope)
+        np.multiply(k, prev, out=scaled)
+        np.subtract(step, scaled, out=step)
+        np.divide(step, k + 2 * alpha, out=step)
+        prev, cur, g = cur, step, step[0]
+    out = out.reshape((m + 1, 2) + shape)
+    return out[:, 0], out[:, 1]
+
+
 def eval_gegenbauer(alpha: float, m: int, x) -> np.ndarray:
     """Evaluate G_0 .. G_m at x; returns shape (m+1,) + shape(x)."""
-    _check_alpha(alpha)
-    x = np.asarray(x, dtype=float)
-    out = np.empty((m + 1,) + x.shape)
-    out[0] = 1.0
-    if m >= 1:
-        out[1] = x
-    for k in range(1, m):
-        out[k + 1] = (2 * (k + alpha) * x * out[k] - k * out[k - 1]) / (k + 2 * alpha)
-    return out
+    return _recurrence(alpha, m, x)[0]
 
 
 def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate q_n = G_{n+1} - G_n and its derivative from the table of G_0 .. G_{n+1}."""
-    g = eval_gegenbauer(alpha, n + 1, x)
-    return g[n + 1] - g[n], _node_derivative(alpha, g)
-
-
-def _node_derivative(alpha: float, g: np.ndarray) -> np.ndarray:
-    """q_n' at x = g[1] by the differentiated recurrence over the table G_0 .. G_{n+1}."""
-    x = g[1]
-    d_prev, d = np.zeros_like(x), np.ones_like(x)
-    for k in range(1, len(g) - 1):
-        d_prev, d = d, (2 * (k + alpha) * (g[k] + x * d) - k * d_prev) / (k + 2 * alpha)
-    return d - d_prev
+    """Evaluate q_n = G_{n+1} - G_n and its derivative at x in one recurrence pass."""
+    _check_degree(n)
+    g, d = _recurrence(alpha, n + 1, x)
+    return g[n + 1] - g[n], d[n + 1] - d[n]
 
 
 def normalization(alpha: float, n: int) -> float:
@@ -180,21 +213,26 @@ def christoffel_weights(cfg: BasisConfig, nodes: np.ndarray, g_n: np.ndarray) ->
     return weights
 
 
-def node_table(cfg: BasisConfig) -> np.ndarray:
-    """G_0 .. G_{n+1} at the Gauss-Radau nodes; row 1 holds the nodes themselves."""
-    return eval_gegenbauer(cfg.alpha, cfg.n + 1, gauss_radau_nodes(cfg))
+def node_table(cfg: BasisConfig) -> tuple[np.ndarray, np.ndarray]:
+    """G_0 .. G_{n+1} and q_n' at the Gauss-Radau nodes, from one recurrence pass.
+
+    Row 1 of the table holds the nodes themselves.
+    """
+    n = cfg.n
+    g, d = _recurrence(cfg.alpha, n + 1, gauss_radau_nodes(cfg))
+    return g.copy(), d[n + 1] - d[n]  # the copy frees the slope rows before Q1 is built
 
 
-def standard_nodeset(cfg: BasisConfig, *, table: np.ndarray | None = None) -> NodeSet:
+def standard_nodeset(cfg: BasisConfig, *,
+                     table: tuple[np.ndarray, np.ndarray] | None = None) -> NodeSet:
     """Nodes, weights and barycentric weights on [-1, 1], read from ``node_table(cfg)``.
 
-    A caller that has evaluated that table already passes it as ``table``.
+    A caller that has evaluated that pair already passes it as ``table``.
     """
-    g = node_table(cfg) if table is None else table
+    g, slope = node_table(cfg) if table is None else table
     nodes = g[1].copy()  # a view would keep the whole table alive in the memo
     weights = christoffel_weights(cfg, nodes, g[cfg.n])
-    bary = 1.0 / _node_derivative(cfg.alpha, g)
-    return NodeSet(cfg.alpha, cfg.n, nodes, weights, bary, (-1.0, 1.0))
+    return NodeSet(cfg.alpha, cfg.n, nodes, weights, 1.0 / slope, (-1.0, 1.0))
 
 
 def shift_nodeset(nodeset: NodeSet, b: float) -> NodeSet:

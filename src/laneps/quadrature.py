@@ -84,7 +84,7 @@ def build_q1(nodeset: NodeSet, *, table: np.ndarray) -> np.ndarray:
     integral of f from -1 to x_i: the interpolant of f in the basis is
     integrated term by term, so Q1 = I^T (G / lambda) diag(w) with
     G[j, k] = G_j(x_k), lambda_j the squared norm of G_j and I[j, i] the
-    antiderivative of G_j at x_i.  ``table`` is ``node_table`` of the nodeset.
+    antiderivative of G_j at x_i.  ``table`` is the G table of ``node_table``.
     """
     if nodeset.interval != (-1.0, 1.0):
         raise ValueError("build_q1 expects a standard [-1, 1] nodeset")
@@ -111,8 +111,8 @@ def shift_operators(q1: np.ndarray, standard: NodeSet, b: float) -> IntegrationO
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _standard_basis(cfg: BasisConfig) -> tuple[NodeSet, np.ndarray]:
     """The standard nodeset and its Q1, read from one node table, shared by every b."""
-    table = node_table(cfg)
-    standard = standard_nodeset(cfg, table=table)
+    table, slope = node_table(cfg)
+    standard = standard_nodeset(cfg, table=(table, slope))
     q1 = build_q1(standard, table=table)
     q1.setflags(write=False)
     return standard, q1

@@ -30,6 +30,27 @@ degrees = st.integers(min_value=2, max_value=20)
 points = st.floats(min_value=-1.0, max_value=1.0)
 
 
+def _textbook_table(alpha, m, x):
+    """G_0 .. G_m by the three-term recurrence, one loop over the values."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((m + 1,) + x.shape)
+    out[0] = 1.0
+    if m >= 1:
+        out[1] = x
+    for k in range(1, m):
+        out[k + 1] = (2 * (k + alpha) * x * out[k] - k * out[k - 1]) / (k + 2 * alpha)
+    return out
+
+
+def _textbook_node_derivative(alpha, g):
+    """G_m' - G_{m-1}' at x = g[1] by the differentiated recurrence over the table g."""
+    x = g[1]
+    d_prev, d = np.zeros_like(x), np.ones_like(x)
+    for k in range(1, len(g) - 1):
+        d_prev, d = d, (2 * (k + alpha) * (g[k] + x * d) - k * d_prev) / (k + 2 * alpha)
+    return d - d_prev
+
+
 def _assert_close(computed, exact, n):
     """Normwise agreement to 64 n ulp of the largest exact value (at least 1)."""
     scale = max(1.0, float(np.max(np.abs(exact))))
@@ -98,6 +119,24 @@ class TestEvaluation:
         q_val, qd = node_polynomial(alpha, n, x)
         _assert_close(q_val, exact_q, n)
         _assert_close(qd, exact_qd, n)
+
+    @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.0, 0.5, 2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 33, 129, 513])
+    def test_one_pass_is_bit_identical_to_the_textbook_loops(self, alpha, m):
+        rng = np.random.default_rng(m)
+        for x in (0.3, np.linspace(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0, (2, 3))):
+            g = _textbook_table(alpha, m, x)
+            assert np.array_equal(eval_gegenbauer(alpha, m, x), g)
+            if m >= 1:
+                q, qd = node_polynomial(alpha, m - 1, x)
+                assert np.array_equal(q, g[m] - g[m - 1])
+                assert np.array_equal(qd, _textbook_node_derivative(alpha, g))
+
+    def test_rejects_a_negative_degree(self):
+        with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+            eval_gegenbauer(0.5, -1, 0.3)
+        with pytest.raises(ValueError, match="degree must be nonnegative, got -2"):
+            node_polynomial(0.5, -2, np.array([0.3]))
 
     def test_rejects_invalid_parameter(self):
         with pytest.raises(ValueError):

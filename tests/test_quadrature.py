@@ -81,14 +81,14 @@ class TestFirstOrderOperator:
         ops = build_operators(cfg, 1.0)
         ones = np.ones(10)
         standard = standard_nodeset(cfg)
-        q1 = build_q1(standard, table=node_table(cfg))
+        q1 = build_q1(standard, table=node_table(cfg)[0])
         assert np.max(np.abs(q1 @ ones - (standard.nodes + 1.0))) <= 1e-12
         assert np.max(np.abs(ops.q1_shifted @ ones - ops.shifted.nodes)) <= 1e-12
 
     def test_b_two_reuses_the_standard_matrix(self):
         cfg = BasisConfig(1.1, 7)
         ops = build_operators(cfg, 2.0)
-        standard = build_q1(standard_nodeset(cfg), table=node_table(cfg))
+        standard = build_q1(standard_nodeset(cfg), table=node_table(cfg)[0])
         assert np.all(ops.q1_shifted == standard)
 
 
@@ -114,7 +114,7 @@ class TestSecondOrderOperator:
         """Building via shift_operators matches build_operators."""
         cfg = BasisConfig(0.8, 6)
         standard = standard_nodeset(cfg)
-        q1 = build_q1(standard, table=node_table(cfg))
+        q1 = build_q1(standard, table=node_table(cfg)[0])
         ops = shift_operators(q1, standard, 1.5)
         direct = build_operators(cfg, 1.5)
         assert np.all(ops.q1_shifted == direct.q1_shifted)
@@ -128,19 +128,21 @@ class TestStandardBasisMemo:
         # The shift passes the standard barycentric weights through unchanged.
         assert first.shifted.bary is second.shifted.bary
 
-    def test_a_build_evaluates_the_gegenbauer_table_once_at_the_nodes(self, monkeypatch):
-        """One evaluation for the Newton polish, one at the nodes for weights, bary and Q1."""
+    def test_a_miss_makes_two_recurrence_passes_and_a_hit_none(self, monkeypatch):
+        """One pass for the Newton polish, one at the nodes for weights, bary and Q1."""
         calls = []
-        original = basis.eval_gegenbauer
+        original = basis._recurrence
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(basis, "eval_gegenbauer", counted)
-        monkeypatch.setattr(quadrature, "eval_gegenbauer", counted)
+        monkeypatch.setattr(basis, "_recurrence", counted)
         quadrature._standard_basis.cache_clear()
-        build_operators(BasisConfig(0.5, 12), 1.5)
+        cfg = BasisConfig(0.5, 12)
+        build_operators(cfg, 1.5)
+        assert len(calls) == 2
+        build_operators(cfg, 2.5)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID + (-0.499, 20.0))
@@ -149,7 +151,7 @@ class TestStandardBasisMemo:
     def test_bit_identical_to_a_fresh_build(self, alpha, n, b):
         cfg = BasisConfig(alpha, n)
         standard = standard_nodeset(cfg)
-        fresh = shift_operators(build_q1(standard, table=node_table(cfg)), standard, b)
+        fresh = shift_operators(build_q1(standard, table=node_table(cfg)[0]), standard, b)
         for ops in (build_operators(cfg, b), build_operators(cfg, b)):
             for field in ("nodes", "weights", "bary"):
                 assert np.array_equal(getattr(ops.shifted, field), getattr(fresh.shifted, field))
@@ -166,7 +168,7 @@ class TestStandardBasisMemo:
     def test_public_builders_return_fresh_objects(self):
         cfg = BasisConfig(0.5, 6)
         assert standard_nodeset(cfg) is not standard_nodeset(cfg)
-        standard, table = standard_nodeset(cfg), node_table(cfg)
+        standard, (table, _) = standard_nodeset(cfg), node_table(cfg)
         assert build_q1(standard, table=table) is not build_q1(standard, table=table)
 
 
