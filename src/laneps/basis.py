@@ -88,46 +88,56 @@ class NodeSet:
             arr.setflags(write=False)
 
 
-def _recurrence(alpha: float, m: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """G_0 .. G_m and their derivatives at x in one pass; each has shape (m+1,) + shape(x).
+def _recurrence(alpha: float, m: int, x, table: bool = True
+                ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """One pass of the recurrence to degree m at x: (G_0 .. G_m, G_m - G_{m-1}, G_m' - G_{m-1}').
 
-    Each degree step advances the stacked pair (G_k, G_k') by the recurrence
-    and its derivative
+    The table has shape (m+1,) + shape(x) and is None unless ``table``; the
+    differences have the shape of x.  Each degree step advances the stacked
+    pair (G_k, G_k') by the recurrence and its derivative
 
         (k + 2a) G'_{k+1} = 2 (k + a) (G_k + x G'_k) - k G'_{k-1},
 
     sharing the product by (2 (k+a) x, x), the k-multiple of the previous
     pair, the subtraction and the division between the two rows.  Each row
     keeps the operations and their order of its own recurrence, so both agree
-    bit for bit with the two evaluated in separate loops.
+    bit for bit with the two evaluated in separate loops.  The pairs cycle
+    through three rows, so a pass allocates no more than its table.
     """
     _check_alpha(alpha)
     _check_degree(m)
     x = np.asarray(x, dtype=float)
-    shape, x = x.shape, x.reshape(-1)  # 1-D, so that every row below is a view
-    out = np.empty((m + 1, 2, x.size))
-    out[0, 0], out[0, 1] = 1.0, 0.0
+    shape, x = x.shape, x.reshape(-1)  # 1-D, so that a pair row holds x
+    pairs = np.zeros((3, 2, x.size))  # (G_k, G_k') in row k % 3; G_{-1} = G'_{-1} = 0
+    pairs[0, 0] = 1.0
     if m >= 1:
-        out[1, 0], out[1, 1] = x, 1.0
+        pairs[1, 0], pairs[1, 1] = x, 1.0
+    out = np.empty((m + 1, x.size)) if table else None
+    if table:
+        out[:2] = pairs[:2, 0][:m + 1]  # G_0, and G_1 when m >= 1
     factor = np.empty((2, x.size))
     factor[1] = x
     scaled = np.empty_like(factor)
-    prev, cur = out[0], out[min(m, 1)]  # the loop below runs only for m >= 2
-    g = cur[0]
+    prev, cur = pairs[0], pairs[1]
     for k in range(1, m):
         c = 2 * (k + alpha)
-        step = out[k + 1]
+        step = pairs[(k + 1) % 3]
         slope = step[1]
         np.multiply(c, x, out=factor[0])
         np.multiply(cur, factor, out=step)  # (c x G_k, x G_k')
-        np.add(g, slope, out=slope)
+        np.add(cur[0], slope, out=slope)
         np.multiply(c, slope, out=slope)
         np.multiply(k, prev, out=scaled)
         np.subtract(step, scaled, out=step)
         np.divide(step, k + 2 * alpha, out=step)
-        prev, cur, g = cur, step, step[0]
-    out = out.reshape((m + 1, 2) + shape)
-    return out[:, 0], out[:, 1]
+        if table:
+            np.copyto(out[k + 1], step[0])
+        prev, cur = cur, step
+    last, before = pairs[m % 3], pairs[(m - 1) % 3]
+    diff = (last - before).reshape((2,) + shape)
+    if table:
+        out = out.reshape((m + 1,) + shape)
+    return out, diff[0], diff[1]
 
 
 def eval_gegenbauer(alpha: float, m: int, x) -> np.ndarray:
@@ -138,8 +148,7 @@ def eval_gegenbauer(alpha: float, m: int, x) -> np.ndarray:
 def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate q_n = G_{n+1} - G_n and its derivative at x in one recurrence pass."""
     _check_degree(n)
-    g, d = _recurrence(alpha, n + 1, x)
-    return g[n + 1] - g[n], d[n + 1] - d[n]
+    return _recurrence(alpha, n + 1, x, False)[1:]
 
 
 def normalization(alpha: float, n: int) -> float:
@@ -218,9 +227,8 @@ def node_table(cfg: BasisConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Row 1 of the table holds the nodes themselves.
     """
-    n = cfg.n
-    g, d = _recurrence(cfg.alpha, n + 1, gauss_radau_nodes(cfg))
-    return g.copy(), d[n + 1] - d[n]  # the copy frees the slope rows before Q1 is built
+    g, _, slope = _recurrence(cfg.alpha, cfg.n + 1, gauss_radau_nodes(cfg))
+    return g, slope
 
 
 def standard_nodeset(cfg: BasisConfig, *,
