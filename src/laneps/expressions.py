@@ -115,12 +115,22 @@ _FUNCTION_NAMES = (set(_FUNCTIONS) - {"sign"}) | {"pow"}
 _ONE = ("num", 1.0)
 
 
+def _never_leaves_domain(op: str, args) -> bool:
+    """True for ^ by a whole literal >= 0 and / by a nonzero literal: their
+    domain checks cannot fire, so they compile to the plain numpy op."""
+    if op not in ("/", "^") or args[1][0] != "num":
+        return False
+    value = args[1][1]
+    return value != 0.0 if op == "/" else value >= 0.0 and value.is_integer()
+
+
 def _compile(node, checked: bool):
     """Closure evaluating a tree on a dict of variable values.
 
     A tree is a tuple ("num", value), ("var", name), ("neg", a), (op, a, b)
     for op in + - * / ^, or (function name, a).  With ``checked`` the value
-    path raises DomainEvalError where _CHECKED says so.
+    path raises DomainEvalError where _CHECKED says so, except where
+    _never_leaves_domain shows the check cannot fire.
     """
     op, *args = node
     if op == "num":
@@ -132,7 +142,7 @@ def _compile(node, checked: bool):
     if op == "neg":
         (inner,) = parts
         return lambda ctx: -inner(ctx)
-    if checked and op in _CHECKED:
+    if checked and op in _CHECKED and not _never_leaves_domain(op, args):
         fn = _CHECKED[op]
         if len(parts) == 1:
             return lambda ctx, a=parts[0]: fn(a(ctx), ctx)

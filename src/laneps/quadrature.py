@@ -5,12 +5,13 @@ to approximations of its integral from the left endpoint to each node; the
 second-order operator does the same for the iterated (double) integral.  Both
 are dense (n+1) x (n+1) matrices acting on node-value vectors.  Q1 is built
 on [-1, 1] from the nodeset's own table of G_0 .. G_{n+1} (``node_table``),
-once per (alpha, n); ``shift_operators`` maps it onto [0, b] and forms Q2.
+once per (alpha, n); ``shift_operators`` maps it onto [0, b].  Q2 is formed
+from the shifted Q1 the first time it is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,16 +38,28 @@ class IntegrationOperators:
 
     shifted: NodeSet
     q1_shifted: np.ndarray
-    q2_shifted: np.ndarray
 
     def __post_init__(self):
-        for mat in (self.q1_shifted, self.q2_shifted):
-            mat.setflags(write=False)
+        self.q1_shifted.setflags(write=False)
 
     @property
     def nodes(self) -> np.ndarray:
         """Collocation abscissas on [0, b], descending from b."""
         return self.shifted.nodes
+
+    @cached_property
+    def q2_shifted(self) -> np.ndarray:
+        """Second-order integration matrix on [0, b], built on first read.
+
+        Swapping the order of the double integral collapses it to a single
+        integral with kernel (x - t): entry (i, k) is (x_i - x_k) Q1[i, k] in
+        the shifted abscissas, so the kernel factor is exact there and the
+        diagonal is exactly zero.
+        """
+        x = self.nodes
+        q2 = (x[:, None] - x[None, :]) * self.q1_shifted
+        q2.setflags(write=False)
+        return q2
 
 
 def integrate_basis(alpha: float, m: int, x) -> np.ndarray:
@@ -94,18 +107,11 @@ def build_q1(nodeset: NodeSet, *, table: np.ndarray) -> np.ndarray:
 
 
 def shift_operators(q1: np.ndarray, standard: NodeSet, b: float) -> IntegrationOperators:
-    """Map the standard nodeset and Q1 onto [0, b] and build Q2 there.
+    """Map the standard nodeset and Q1 onto [0, b].
 
-    The first-order matrix scales by exactly b/2 under the affine map.  Q2
-    swaps the order of the double integral, which collapses it to a single
-    integral with kernel (x - t): entry (i, k) is (x_i - x_k) Q1[i, k] in the
-    shifted abscissas, so the kernel factor is exact there and the diagonal
-    is exactly zero.
+    The first-order matrix scales by exactly b/2 under the affine map.
     """
-    shifted = shift_nodeset(standard, b)
-    q1_shifted = (b / 2.0) * q1
-    x = shifted.nodes
-    return IntegrationOperators(shifted, q1_shifted, (x[:, None] - x[None, :]) * q1_shifted)
+    return IntegrationOperators(shift_nodeset(standard, b), (b / 2.0) * q1)
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)

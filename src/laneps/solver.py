@@ -30,9 +30,13 @@ _NEWTON_TOL.  If the line search stalls first, z counts as converged only when
 max|F(z)| is at the rounding level of evaluating F (4 eps times the largest row
 of |H||Phi| + |f| + |a1*a2/x|, plus the border row on the Neumann branch) and
 the Newton step is below sqrt(eps)*max|z|; otherwise NonlinearSolveError is
-raised, as it is when f_y is not finite at an iterate.  An exactly singular
-J (p = 0 on the Neumann branch leaves y(0) free) gets the minimum-norm
-least-squares step and kappa_inf = inf.
+raised, as it is when f_y is not finite at an iterate.  The linear step
+and kappa_inf share one LU factorization: J is solved against [-F(0) | I],
+whose first column is the step and whose rest is J^-1 (inversion by solves
+against the identity; Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., SIAM 2002, sec. 14.3).  An exactly singular J (p = 0 on
+the Neumann branch leaves y(0) free) gets the minimum-norm least-squares
+step and kappa_inf = inf.
 """
 from __future__ import annotations
 
@@ -156,22 +160,40 @@ class SolverResult:
         return np.where(x == 0.0, self.y0, interpolate(self.nodeset, self.y_nodes, x))
 
 
-def _condition_inf(a: np.ndarray) -> float:
-    """Infinity-norm condition number, +inf for a singular matrix."""
-    try:
-        return float(
-            np.linalg.norm(a, np.inf) * np.linalg.norm(np.linalg.inv(a), np.inf)
-        )
-    except np.linalg.LinAlgError:
-        return math.inf
-
-
 def _linear_step(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Direct solve; minimum-norm least squares only for an exactly singular a."""
     try:
         return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(a, rhs, rcond=None)[0]
+
+
+def _step_and_condition(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The step a^-1 rhs and the infinity-norm condition number of a, from one
+    factorization; the minimum-norm step and +inf for an exactly singular a."""
+    block = np.zeros((rhs.size, rhs.size + 1))
+    block[:, 0] = rhs
+    np.fill_diagonal(block[:, 1:], 1.0)
+    try:
+        sol = np.linalg.solve(a, block)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, rhs, rcond=None)[0], math.inf
+    kappa = np.linalg.norm(a, np.inf) * np.linalg.norm(sol[:, 1:], np.inf)
+    return sol[:, 0].copy(), float(kappa)
+
+
+def _robin_theta(x: np.ndarray, q1: np.ndarray, ratio: float):
+    """(Theta, Q2[0]) for the Robin branch, without forming Q2.
+
+    Theta = Q2 - (Q2[0] + ratio * Q1[0]) with Q2_ik = (x_i - x_k) Q1_ik (see
+    ``IntegrationOperators.q2_shifted``), entry for entry the same operations
+    in one buffer; Q2[0] is the row that y(0) needs.
+    """
+    q2_top = (x[0] - x) * q1[0]
+    theta = np.subtract.outer(x, x)
+    theta *= q1
+    theta -= q2_top + ratio * q1[0]
+    return theta, q2_top
 
 
 def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
@@ -235,12 +257,14 @@ def _newton_start(spec: ProblemSpec, ops: IntegrationOperators, robin: bool):
 
 def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     """Solve F(z) = 0 on either boundary branch (see the module docstring)."""
-    x, q1, q2 = ops.nodes, ops.q1_shifted, ops.q2_shifted
+    x, q1 = ops.nodes, ops.q1_shifted
     m = x.size
     if m < 2:  # the one-node rule collocates at b alone and returns a wrong y0
         raise ValueError(f"n must be at least 1, got {m - 1}")
     robin = spec.beta != 0
-    h = np.eye(m) + spec.alpha2 * (q1 / x[:, None])
+    h = np.divide(q1, x[:, None])  # H = I + a2 * Q1 / x in this one buffer
+    h *= spec.alpha2
+    h.reshape(-1)[:: m + 1] += 1.0
     sing = spec.alpha1 * spec.alpha2 / x
     if spec.kind == "linear":
         pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
@@ -261,34 +285,37 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
 
     if robin:  # z = Phi
         xbar = (spec.delta - spec.gamma * spec.alpha1) / spec.beta + spec.alpha1 * (x - spec.b)
-        theta = q2 - (q2[0] + (spec.gamma / spec.beta) * q1[0])[None, :]
+        theta, q2_top = _robin_theta(x, q1, spec.gamma / spec.beta)
 
         def y_map(z):
             return xbar + theta @ z
     else:  # z = (Phi, y0)
-        theta = q2
+        theta = ops.q2_shifted
         border = spec.delta / spec.gamma - spec.alpha1
 
         def y_map(z):
-            return z[m] + spec.alpha1 * x + q2 @ z[:m]
+            return z[m] + spec.alpha1 * x + theta @ z[:m]
 
     def residual(z):
         fz = h @ z[:m] + f(x, y_map(z)) + sing
         return fz if robin else np.append(fz, q1[0] @ z[:m] - border)
 
+    size = m if robin else m + 1
+    jac = np.empty((size, size))
+
     def jacobian(z):
-        # H + f_y * dy/dPhi formed in place; Neumann borders it with the
-        # column dF/dy0 = f_y and the row of the right-end condition.
+        # H + f_y * dy/dPhi, overwriting the one J of this solve; Neumann
+        # borders it with the column dF/dy0 = f_y and the right-end row.
         fy = dfdy(x, y_map(z))
         if not np.all(np.isfinite(fy)):
             bad = float(x[~np.isfinite(fy)][0])
             raise NonlinearSolveError(f"f_y not finite at x = {bad:.17g}")
-        jac = np.zeros((z.size, z.size))
         np.multiply(fy[:, None], theta, out=jac[:m, :m])
         jac[:m, :m] += h
         if not robin:
             jac[:m, m] = fy
             jac[m, :m] = q1[0]
+            jac[m, m] = 0.0
         return jac
 
     def scale(z):
@@ -298,10 +325,9 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         return float(np.max(rows))
 
     if spec.kind == "linear":
-        z0 = np.zeros(m if robin else m + 1)
-        jac = jacobian(z0)
-        z = z0 + _linear_step(jac, -residual(z0))
-        diag = {"kappa_inf": _condition_inf(jac)}
+        z0 = np.zeros(size)
+        z, kappa = _step_and_condition(jacobian(z0), -residual(z0))
+        diag = {"kappa_inf": kappa}
     else:
         seed_degree, z0 = _newton_start(spec, ops, robin)
         z, iters, steps = _damped_newton(residual, jacobian, scale, z0)
@@ -313,7 +339,7 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         y0 = (
             (spec.delta - spec.gamma * (spec.alpha1 + q1[0] @ phi)) / spec.beta
             - spec.alpha1 * spec.b
-            - q2[0] @ phi
+            - q2_top @ phi
         )
     else:
         y0 = z[m]

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from laneps import expressions, registry
+from laneps.config import parse_config_text
 from laneps.expressions import DomainEvalError, ExpressionError, parse_expression
 
 coeffs = st.floats(min_value=-5.0, max_value=5.0)
@@ -133,6 +135,52 @@ class TestDomainErrors:
         expr = parse_expression("log(x) + 1/x + sqrt(x)", ("x",))
         out = expr(np.array([0.5, 2.0]))
         assert np.all(np.isfinite(out))
+
+
+class TestLiteralFastPath:
+    """^ by a whole literal >= 0 and / by a nonzero literal skip their checks."""
+
+    @pytest.mark.parametrize("example_id", [1, 2, 3, 4, 5])
+    def test_registry_configs_are_bit_identical_to_the_checked_path(self, monkeypatch,
+                                                                     example_id):
+        text = (registry._CONFIG_DIR / f"example{example_id}.cfg").read_text(encoding="utf-8")
+        fast = parse_config_text(text)
+        monkeypatch.setattr(expressions, "_never_leaves_domain", lambda op, args: False)
+        checked = parse_config_text(text)
+        rng = np.random.default_rng(example_id)
+        x = rng.uniform(0.01, fast.b, 257)
+        y = rng.uniform(0.1, 2.0, 257)
+        for key, var in (("f", "y"), ("p", "x"), ("g", "x"), ("exact", "x")):
+            ours, ref = getattr(fast, key), getattr(checked, key)
+            if ours is None:
+                continue
+            args = (x, y) if key == "f" else (x,)
+            for _ in range(3):  # the expression, then its first and second derivative
+                assert np.array_equal(ours(*args), ref(*args)), (key, ours.text)
+                ours, ref = ours.derivative(var), ref.derivative(var)
+
+    def test_safe_literal_operations_bypass_the_checks(self, monkeypatch):
+        calls = []
+        for op in ("/", "^"):
+            fn = expressions._CHECKED[op]
+            monkeypatch.setitem(expressions._CHECKED, op,
+                                lambda *a, _fn=fn, _op=op: calls.append(_op) or _fn(*a))
+        x = np.linspace(-1.0, 1.0, 9)
+        assert np.array_equal(ev("x^2 + x^0 - x/2 + x^3/pi", x), x**2 + 1.0 - x / 2 + x**3 / np.pi)
+        assert calls == []
+        ev("x^2.5 + x^(0-2) + 1/x + x/(1-3)", np.array([0.5]))
+        assert sorted(calls) == ["/", "/", "^", "^"]
+
+    @pytest.mark.parametrize("text,x,match", [
+        ("(0-x)^0.5", 2.0, "fractional power of a negative value"),
+        ("x^(0-1)", 0.0, "zero raised to a negative power"),
+        ("x^-1", 0.0, "zero raised to a negative power"),
+        ("1/(x-x)", 0.5, "division by zero"),
+        ("x/0", 0.5, "division by zero"),
+    ])
+    def test_other_checked_operations_still_raise(self, text, x, match):
+        with pytest.raises(DomainEvalError, match=match):
+            ev(text, np.array([0.25, x]))
 
 
 def _random_expression(rng, depth):

@@ -81,26 +81,74 @@ class TestRobinBranch:
         assert abs(lin.y0 - nl.y0) <= 1e-12
 
 
+def _manufactured_neumann(p=lambda x: np.ones_like(x)):
+    """y = x^2 solves y'' + 2y'/x + p y = p x^2 + 6 with y'(0) = 0, y'(1) = 2;
+    p = 0 leaves y(0) free."""
+    return ProblemSpec(
+        kind="linear", alpha1=0.0, alpha2=2.0, beta=0.0, gamma=1.0, delta=2.0, b=1.0,
+        p=p, g=lambda x: p(x) * x**2 + 6.0,
+    )
+
+
+def _rebuilt_jacobian(spec, ops):
+    """J of a linear spec from the textbook formulas: H + diag(p) dy/dPhi,
+    bordered by the column p and the row Q1[0] on the Neumann branch."""
+    x, q1, q2 = ops.nodes, ops.q1_shifted, ops.q2_shifted
+    h = np.eye(x.size) + spec.alpha2 * (q1 / x[:, None])
+    p = np.broadcast_to(spec.p(x), x.shape)
+    if spec.beta != 0:
+        theta = q2 - (q2[0] + (spec.gamma / spec.beta) * q1[0])[None, :]
+        return h + p[:, None] * theta
+    return np.block([[h + p[:, None] * q2, p[:, None]], [q1[0][None, :], np.zeros((1, 1))]])
+
+
+def _count_linalg(monkeypatch) -> dict:
+    """Count the solver's calls of np.linalg.solve, inv and lstsq."""
+    calls = dict.fromkeys(("solve", "inv", "lstsq"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver.np.linalg, name, counted)
+    return calls
+
+
+class TestLinearFactorization:
+    """A linear solve takes its step and kappa_inf from one LU factorization."""
+
+    BRANCHES = {"robin": _manufactured_linear, "neumann": _manufactured_neumann}
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_one_solve_and_no_inverse(self, monkeypatch, branch):
+        calls = _count_linalg(monkeypatch)
+        r = solve_problem(self.BRANCHES[branch](), 16, 0.5)
+        assert calls == {"solve": 1, "inv": 0, "lstsq": 0}
+        assert np.isfinite(r.kappa_inf)
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    @pytest.mark.parametrize("n", [4, 64, 512])
+    @pytest.mark.parametrize("alpha", [-0.499, 0.5, 5.0])
+    def test_kappa_is_the_inverse_norm_product(self, branch, n, alpha):
+        spec = self.BRANCHES[branch]()
+        ops = build_operators(BasisConfig(alpha, n), spec.b)
+        jac = _rebuilt_jacobian(spec, ops)
+        expected = np.linalg.norm(jac, np.inf) * np.linalg.norm(np.linalg.inv(jac), np.inf)
+        assert abs(solve(spec, ops).kappa_inf - expected) <= 1e-13 * expected
+
+
 class TestNeumannBranch:
-    def test_free_constant_resolved_by_minimum_norm(self):
+    def test_free_constant_resolved_by_minimum_norm(self, monkeypatch):
         """p = 0 leaves y(0) free; the returned solution picks y(0) = 0."""
-        spec = ProblemSpec(
-            kind="linear", alpha1=0.0, alpha2=2.0, beta=0.0, gamma=1.0,
-            delta=2.0, b=1.0,
-            p=lambda x: np.zeros_like(x), g=lambda x: np.full_like(x, 6.0),
-        )
-        r = solve_problem(spec, 6, 0.5)
+        calls = _count_linalg(monkeypatch)
+        r = solve_problem(_manufactured_neumann(p=lambda x: np.zeros_like(x)), 6, 0.5)
+        assert calls == {"solve": 1, "inv": 0, "lstsq": 1}
         assert np.max(np.abs(r.y_nodes - r.nodes**2)) <= 1e-12
         assert r.y0 == 0.0
         assert r.kappa_inf == np.inf
 
     def test_reaction_term_pins_the_constant(self):
-        spec = ProblemSpec(
-            kind="linear", alpha1=0.0, alpha2=2.0, beta=0.0, gamma=1.0,
-            delta=2.0, b=1.0,
-            p=lambda x: np.ones_like(x), g=lambda x: x**2 + 6.0,
-        )
-        r = solve_problem(spec, 6, 0.5)
+        r = solve_problem(_manufactured_neumann(), 6, 0.5)
         assert np.max(np.abs(r.y_nodes - r.nodes**2)) <= 1e-12
         assert abs(r.y0) <= 1e-12
         assert np.isfinite(r.kappa_inf)
