@@ -26,8 +26,6 @@ from .bounds import (
     bound_q2_error,
     bound_residual,
     bound_solution_error,
-    prefactor,
-    q_sup_norm,
 )
 from .config import ConfigError, ProblemConfig, load_config, parse_config_text
 from .expressions import DomainEvalError, Expression, ExpressionError, parse_expression
@@ -35,7 +33,6 @@ from .quadrature import (
     IntegrationOperators,
     build_operators,
     build_q1,
-    integrate_basis,
     interpolate,
     shift_operators,
 )
@@ -87,7 +84,6 @@ __all__ = [
     "eval_gegenbauer",
     "gauss_radau_nodes",
     "get_example",
-    "integrate_basis",
     "interpolate",
     "load_config",
     "node_polynomial",
@@ -95,8 +91,6 @@ __all__ = [
     "normalization",
     "parse_config_text",
     "parse_expression",
-    "prefactor",
-    "q_sup_norm",
     "shift_nodeset",
     "shift_operators",
     "solve",

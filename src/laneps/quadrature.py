@@ -56,8 +56,8 @@ class IntegrationOperators:
         the shifted abscissas, so the kernel factor is exact there and the
         diagonal is exactly zero.
         """
-        x = self.nodes
-        q2 = (x[:, None] - x[None, :]) * self.q1_shifted
+        q2 = np.subtract.outer(self.nodes, self.nodes)
+        q2 *= self.q1_shifted
         q2.setflags(write=False)
         return q2
 

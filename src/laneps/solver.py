@@ -9,34 +9,38 @@ recovered through the first- and second-order integration matrices, which
 turns the singular differential problem into a dense algebraic system with no
 differentiation matrices involved.
 
-Both boundary branches are one system F(z) = 0 with Jacobian J(z), where
+Every problem is one system F(z) = 0 with Jacobian J(z) in the unknowns
+z = (Phi, y0), where y0 = y(0) and
 
-    F(z) = H Phi + f(x, y(z)) + a1*a2/x,   H = I + a2 * Q1 / x.
+    y = y0 + a1*x + Q2 Phi,   y' = a1 + Q1 Phi,
+    F(z) = (H Phi + f(x, y) + a1*a2/x,  beta*y(b) + gamma*y'(b) - delta),
+    H = I + a2 * Q1 / x,
 
-For beta != 0 (Robin) the right-endpoint condition eliminates y(0): z = Phi
-and y = xbar + Theta Phi.  For beta = 0 (Neumann) y(0) is an extra unknown:
-z = (Phi, y0), y = a1*x + Q2 Phi + y0, and F gains the border row
-Q1[0] Phi = delta/gamma - a1.  A linear problem is solved by one exact Newton
-step from z = 0; a nonlinear one by one damped Newton run.  Below n = 256 that
-run starts from z = 0.  From n = 8 * _COARSE_N = 256 on it is grid sequenced
+with y(b) = y0 + a1*b + Q2[0] Phi and y'(b) = a1 + Q1[0] Phi, since the first
+node is b.  The border row is linear in z, so J is H + f_y * Q2 bordered by
+the column f_y and the row (beta*Q2[0] + gamma*Q1[0], beta); the
+pure-derivative condition (beta = 0) is the same rows with beta = 0.  A
+linear problem is solved by one exact Newton step from z = 0; a nonlinear one
+by one damped Newton run.  Below n = 256 that run starts from Phi = 0 and the
+y0 that meets the border row there, (delta - (beta*b + gamma)*a1)/beta, or
+y0 = 0 when beta = 0.  From n = 8 * _COARSE_N = 256 on it is grid sequenced
 (nested iteration; Kelley, Solving Nonlinear Equations with Newton's Method,
-SIAM 2003, ch. 1-2): the same problem is first solved at degree _COARSE_N = 32
-from z = 0, and the fine run starts from the coarse Phi interpolated to the
-fine nodes (with the coarse y0 on the Neumann branch).  If the coarse run
-fails numerically (NonlinearSolveError, or an ArithmeticError such as a domain
-error of f), the fine run starts from z = 0; SolverResult.seed_degree records
-which start was taken.  Newton stops when the residual or the step falls to
-_NEWTON_TOL.  If the line search stalls first, z counts as converged only when
-max|F(z)| is at the rounding level of evaluating F (4 eps times the largest row
-of |H||Phi| + |f| + |a1*a2/x|, plus the border row on the Neumann branch) and
-the Newton step is below sqrt(eps)*max|z|; otherwise NonlinearSolveError is
-raised, as it is when f_y is not finite at an iterate.  The linear step
-and kappa_inf share one LU factorization: J is solved against [-F(0) | I],
-whose first column is the step and whose rest is J^-1 (inversion by solves
-against the identity; Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., SIAM 2002, sec. 14.3).  An exactly singular J (p = 0 on
-the Neumann branch leaves y(0) free) gets the minimum-norm least-squares
-step and kappa_inf = inf.
+SIAM 2003, ch. 1-2): the same problem is first solved at degree _COARSE_N = 32,
+and the fine run starts from the coarse Phi interpolated to the fine nodes and
+the coarse y0.  If the coarse run fails numerically (NonlinearSolveError, or
+an ArithmeticError such as a domain error of f), the fine run takes the start
+used below n = 256; SolverResult.seed_degree records which start was taken.
+Newton stops when the residual or the step falls to _NEWTON_TOL.  If the line
+search stalls first, z counts as converged only when max|F(z)| is at the
+rounding level of evaluating F (4 eps times the largest row of
+|H||Phi| + |f| + |a1*a2/x|, or of the border row's terms) and the Newton step
+is below sqrt(eps)*max|z|; otherwise NonlinearSolveError is raised, as it is
+when f_y is not finite at an iterate.  The linear step and kappa_inf share one
+LU factorization: J is solved against [-F(0) | I], whose first column is the
+step and whose rest is J^-1 (inversion by solves against the identity; Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec.
+14.3).  An exactly singular J (p = 0 with beta = 0 leaves y(0) free) gets the
+minimum-norm least-squares step and kappa_inf = inf.
 """
 from __future__ import annotations
 
@@ -182,20 +186,6 @@ def _step_and_condition(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, flo
     return sol[:, 0].copy(), float(kappa)
 
 
-def _robin_theta(x: np.ndarray, q1: np.ndarray, ratio: float):
-    """(Theta, Q2[0]) for the Robin branch, without forming Q2.
-
-    Theta = Q2 - (Q2[0] + ratio * Q1[0]) with Q2_ik = (x_i - x_k) Q1_ik (see
-    ``IntegrationOperators.q2_shifted``), entry for entry the same operations
-    in one buffer; Q2[0] is the row that y(0) needs.
-    """
-    q2_top = (x[0] - x) * q1[0]
-    theta = np.subtract.outer(x, x)
-    theta *= q1
-    theta -= q2_top + ratio * q1[0]
-    return theta, q2_top
-
-
 def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
     """Newton iteration with Armijo backtracking on the max-norm residual.
 
@@ -239,9 +229,10 @@ def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
     )
 
 
-def _newton_start(spec: ProblemSpec, ops: IntegrationOperators, robin: bool):
+def _newton_start(spec: ProblemSpec, ops: IntegrationOperators):
     """(seed degree, z0): from n = 8 * _COARSE_N on, the degree-_COARSE_N
-    solution on the nodes of ``ops``; below that, or if it fails, (None, 0)."""
+    solution on the nodes of ``ops``; below that, or if it fails, (None,
+    (0, y0*)) with y0* the y(0) that meets the border row at Phi = 0."""
     m = ops.nodes.size
     if m - 1 >= 8 * _COARSE_N:
         coarse_ops = build_operators(BasisConfig(ops.shifted.alpha, _COARSE_N), spec.b)
@@ -250,22 +241,25 @@ def _newton_start(spec: ProblemSpec, ops: IntegrationOperators, robin: bool):
         except (NonlinearSolveError, ArithmeticError):
             pass
         else:
-            phi0 = interpolate(coarse.nodeset, coarse.phi, ops.nodes)
-            return _COARSE_N, phi0 if robin else np.append(phi0, coarse.y0)
-    return None, np.zeros(m if robin else m + 1)
+            return _COARSE_N, np.append(interpolate(coarse.nodeset, coarse.phi, ops.nodes),
+                                        coarse.y0)
+    z0 = np.zeros(m + 1)
+    if spec.beta != 0:
+        z0[m] = (spec.delta - (spec.beta * spec.b + spec.gamma) * spec.alpha1) / spec.beta
+    return None, z0
 
 
 def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
-    """Solve F(z) = 0 on either boundary branch (see the module docstring)."""
+    """Solve F(z) = 0 for z = (Phi, y0) (see the module docstring)."""
     x, q1 = ops.nodes, ops.q1_shifted
     m = x.size
     if m < 2:  # the one-node rule collocates at b alone and returns a wrong y0
         raise ValueError(f"n must be at least 1, got {m - 1}")
-    robin = spec.beta != 0
     h = np.divide(q1, x[:, None])  # H = I + a2 * Q1 / x in this one buffer
     h *= spec.alpha2
     h.reshape(-1)[:: m + 1] += 1.0
     sing = spec.alpha1 * spec.alpha2 / x
+    a1x = spec.alpha1 * x
     if spec.kind == "linear":
         pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
         gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
@@ -283,72 +277,61 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     else:
         f, dfdy = spec.f, spec.dfdy
 
-    if robin:  # z = Phi
-        xbar = (spec.delta - spec.gamma * spec.alpha1) / spec.beta + spec.alpha1 * (x - spec.b)
-        theta, q2_top = _robin_theta(x, q1, spec.gamma / spec.beta)
+    q2 = ops.q2_shifted
+    # The border row beta*y(b) + gamma*y'(b) - delta = top Phi + beta*y0 + border.
+    beta = spec.beta
+    top = beta * q2[0] + spec.gamma * q1[0]
+    border = beta * spec.alpha1 * spec.b + spec.gamma * spec.alpha1 - spec.delta
 
-        def y_map(z):
-            return xbar + theta @ z
-    else:  # z = (Phi, y0)
-        theta = ops.q2_shifted
-        border = spec.delta / spec.gamma - spec.alpha1
-
-        def y_map(z):
-            return z[m] + spec.alpha1 * x + theta @ z[:m]
+    def y_map(z):
+        return z[m] + a1x + q2 @ z[:m]
 
     def residual(z):
-        fz = h @ z[:m] + f(x, y_map(z)) + sing
-        return fz if robin else np.append(fz, q1[0] @ z[:m] - border)
+        phi = z[:m]
+        fz = np.empty(m + 1)
+        rows = fz[:m]
+        np.matmul(h, phi, out=rows)
+        rows += f(x, y_map(z))
+        rows += sing
+        fz[m] = top @ phi + beta * z[m] + border
+        return fz
 
-    size = m if robin else m + 1
-    jac = np.empty((size, size))
+    jac = np.empty((m + 1, m + 1))
+    jac[m, :m] = top
+    jac[m, m] = beta
 
     def jacobian(z):
-        # H + f_y * dy/dPhi, overwriting the one J of this solve; Neumann
-        # borders it with the column dF/dy0 = f_y and the right-end row.
+        # [[H + f_y * Q2, f_y], border row], overwriting the one J of this solve.
         fy = dfdy(x, y_map(z))
         if not np.all(np.isfinite(fy)):
             bad = float(x[~np.isfinite(fy)][0])
             raise NonlinearSolveError(f"f_y not finite at x = {bad:.17g}")
-        np.multiply(fy[:, None], theta, out=jac[:m, :m])
+        np.multiply(fy[:, None], q2, out=jac[:m, :m])
         jac[:m, :m] += h
-        if not robin:
-            jac[:m, m] = fy
-            jac[m, :m] = q1[0]
-            jac[m, m] = 0.0
+        jac[:m, m] = fy
         return jac
 
     def scale(z):
         rows = np.abs(h) @ np.abs(z[:m]) + np.abs(f(x, y_map(z))) + np.abs(sing)
-        if not robin:
-            rows = np.append(rows, np.abs(q1[0]) @ np.abs(z[:m]) + abs(border))
-        return float(np.max(rows))
+        last = np.abs(top) @ np.abs(z[:m]) + abs(beta * z[m]) + abs(border)
+        return float(max(np.max(rows), last))
 
     if spec.kind == "linear":
-        z0 = np.zeros(size)
+        z0 = np.zeros(m + 1)
         z, kappa = _step_and_condition(jacobian(z0), -residual(z0))
         diag = {"kappa_inf": kappa}
     else:
-        seed_degree, z0 = _newton_start(spec, ops, robin)
+        seed_degree, z0 = _newton_start(spec, ops)
         z, iters, steps = _damped_newton(residual, jacobian, scale, z0)
         diag = {"newton_iters": iters, "step_norms": tuple(steps), "seed_degree": seed_degree}
 
     phi = z[:m]
-    if robin:
-        # y(0) from the right-end condition with y(b) = y0 + a1*b + Q2[0] Phi.
-        y0 = (
-            (spec.delta - spec.gamma * (spec.alpha1 + q1[0] @ phi)) / spec.beta
-            - spec.alpha1 * spec.b
-            - q2_top @ phi
-        )
-    else:
-        y0 = z[m]
     return SolverResult(
         spec=spec,
         nodeset=ops.shifted,
         phi=phi,
         y_nodes=y_map(z),
-        y0=float(y0),
+        y0=float(z[m]),
         yprime_nodes=spec.alpha1 + q1 @ phi,
         residual_nodes=residual(z)[:m],
         **diag,

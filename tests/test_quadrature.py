@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from laneps import basis, quadrature, solver
+from laneps import basis, quadrature
 from laneps.basis import BasisConfig, node_table, shift_nodeset, standard_nodeset
 from laneps.quadrature import (
     build_operators,
@@ -18,8 +18,6 @@ from laneps.quadrature import (
     interpolate,
     shift_operators,
 )
-from laneps.registry import get_example
-from laneps.solver import solve
 
 ALPHA_GRID = (-0.4, 0.0, 0.5, 1.1, 2.0)
 B_GRID = (1.0, 1.5, 2.0)
@@ -124,14 +122,7 @@ class TestSecondOrderOperator:
 
 
 class TestLazySecondOrderOperator:
-    """Q2 is formed on first read, and a Robin solve never reads it."""
-
-    @pytest.mark.parametrize("ex_id,built", [(1, False), (2, False), (5, True)])
-    def test_only_the_neumann_branch_builds_q2(self, ex_id, built):
-        spec = get_example(ex_id).spec
-        ops = build_operators(BasisConfig(0.5, 16), spec.b)
-        solve(spec, ops)
-        assert ("q2_shifted" in ops.__dict__) is built
+    """Q2 is formed on first read."""
 
     @pytest.mark.parametrize("alpha", [-0.499, 0.5, 5.0])
     @pytest.mark.parametrize("n", [1, 8, 64])
@@ -143,15 +134,6 @@ class TestLazySecondOrderOperator:
         assert np.array_equal(q2, (x[:, None] - x[None, :]) * ops.q1_shifted)
         with pytest.raises(ValueError):
             q2[0, 0] = 1.0
-
-    @pytest.mark.parametrize("ratio", [0.0, 0.5, -3.0])
-    @pytest.mark.parametrize("alpha", [-0.499, 0.5, 5.0])
-    def test_robin_theta_matches_the_q2_formula_bit_for_bit(self, alpha, ratio):
-        ops = build_operators(BasisConfig(alpha, 33), 2.0)
-        q1, q2 = ops.q1_shifted, ops.q2_shifted
-        theta, q2_top = solver._robin_theta(ops.nodes, q1, ratio)
-        assert np.array_equal(theta, q2 - (q2[0] + ratio * q1[0])[None, :])
-        assert np.array_equal(q2_top, q2[0])
 
 
 class TestStandardBasisMemo:

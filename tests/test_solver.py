@@ -35,7 +35,7 @@ class TestRobinBranch:
         assert r.kappa_inf is not None and np.isfinite(r.kappa_inf)
 
     def test_two_solution_recoveries_agree(self):
-        """y from the eliminated form equals y0 + a1 x + double integration."""
+        """y at the nodes equals y0 + a1 x + double integration of Phi."""
         case = get_example(1)
         ops = build_operators(BasisConfig(0.1, 5), case.spec.b)
         r = solve(case.spec, ops)
@@ -43,11 +43,15 @@ class TestRobinBranch:
         assert np.max(np.abs(r.y_nodes - rebuilt)) <= 1e-12
 
     def test_endpoint_value_is_structural_for_dirichlet_data(self):
-        """With gamma = 0 the right-endpoint value equals delta/beta exactly."""
+        """With gamma = 0 the right-endpoint value is delta/beta to the rounding
+        of the border row's terms y0, a1*b and Q2[0] Phi."""
         for ex_id in (1, 3):
-            case = get_example(ex_id)
-            r = solve_problem(case.spec, 6, 0.3)
-            assert r.y_nodes[0] == case.spec.delta / case.spec.beta
+            spec = get_example(ex_id).spec
+            ops = build_operators(BasisConfig(0.3, 6), spec.b)
+            r = solve(spec, ops)
+            q2_top = np.abs(ops.q2_shifted[0])
+            terms = abs(r.y0) + abs(spec.alpha1 * spec.b) + q2_top @ np.abs(r.phi)
+            assert abs(r.y_nodes[0] - spec.delta / spec.beta) <= 4 * np.finfo(float).eps * terms
 
     def test_monotone_nonlinearity_recovers_polynomial(self):
         spec = ProblemSpec(
@@ -91,15 +95,13 @@ def _manufactured_neumann(p=lambda x: np.ones_like(x)):
 
 
 def _rebuilt_jacobian(spec, ops):
-    """J of a linear spec from the textbook formulas: H + diag(p) dy/dPhi,
-    bordered by the column p and the row Q1[0] on the Neumann branch."""
+    """J of a linear spec from the textbook formulas: H + diag(p) Q2, bordered
+    by the column p and the row (beta Q2[0] + gamma Q1[0], beta)."""
     x, q1, q2 = ops.nodes, ops.q1_shifted, ops.q2_shifted
     h = np.eye(x.size) + spec.alpha2 * (q1 / x[:, None])
     p = np.broadcast_to(spec.p(x), x.shape)
-    if spec.beta != 0:
-        theta = q2 - (q2[0] + (spec.gamma / spec.beta) * q1[0])[None, :]
-        return h + p[:, None] * theta
-    return np.block([[h + p[:, None] * q2, p[:, None]], [q1[0][None, :], np.zeros((1, 1))]])
+    border = np.append(spec.beta * q2[0] + spec.gamma * q1[0], spec.beta)
+    return np.block([[h + p[:, None] * q2, p[:, None]], [border[None, :]]])
 
 
 def _count_linalg(monkeypatch) -> dict:
@@ -158,6 +160,17 @@ class TestNeumannBranch:
         r = solve_problem(case.spec, 7, 0.9)
         assert abs(r.yprime_nodes[0] - case.spec.delta / case.spec.gamma) <= 1e-12
         assert abs(r.y0 - np.pi / 2.0) <= 1e-12
+
+
+class TestSmallBeta:
+    @pytest.mark.parametrize("beta", [1e-4, 1e-8, 1e-12, 1e-15])
+    def test_robin_data_tends_to_the_neumann_solution(self, beta):
+        """y = x^2 - 2 with gamma = 1: the beta -> 0 limit is well posed, and
+        the border row never divides by beta."""
+        r = solve_problem(_manufactured_linear(beta=beta), 16, 0.5)
+        neumann = solve_problem(_manufactured_linear(beta=0.0), 16, 0.5)
+        assert np.max(np.abs(r.y_nodes - (r.nodes**2 - 2.0))) <= 1e-13
+        assert abs(r.y0 - neumann.y0) <= 1e-13
 
 
 class TestNewton:
@@ -231,6 +244,41 @@ class TestNewton:
         )
         with pytest.raises(NonlinearSolveError, match="line search stalled"):
             solve_problem(spec, 32, 0.5)
+
+
+def _index5_dirichlet(a=1.1, b=1.2):
+    """y = a/sqrt(1 + a^4 x^2/3) solves y'' + 2y'/x + y^5 = 0 with y'(0) = 0."""
+    return ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=2.0, beta=1.0, gamma=0.0,
+                       delta=a / np.sqrt(1.0 + a**4 * b * b / 3.0), b=b,
+                       f=lambda x, y: y**5, dfdy=lambda x, y: 5.0 * y**4)
+
+
+class TestNewtonStart:
+    """Below n = 256 Newton starts from Phi = 0 with y0 meeting the border row,
+    which is the start y = xbar of the solver that eliminated y(0) for beta != 0."""
+
+    #: newton_iters of that solver, keyed by (case, alpha, n).
+    ELIMINATED_ITERS = {
+        **{(2, alpha, n): 4 for alpha in (-0.4, 0.5, 2.0) for n in (8, 32, 128)},
+        **{(4, alpha, n): 5 for alpha in (-0.4, 0.5, 2.0) for n in (8, 32, 128)},
+        **{("index5", alpha, 32): 6 for alpha in (-0.4, 0.5, 2.0)},
+    }
+
+    @pytest.mark.parametrize("case,alpha,n", sorted(ELIMINATED_ITERS, key=str))
+    def test_takes_no_more_iterations_than_the_eliminated_system(self, case, alpha, n):
+        spec = _index5_dirichlet() if case == "index5" else get_example(case).spec
+        ops = build_operators(BasisConfig(alpha, n), spec.b)
+        r = solve(spec, ops)
+        # Where the rounding floor of F (4 eps times its largest row of term
+        # magnitudes) exceeds the Newton tolerance, here alpha = 2 at n = 128,
+        # whether the last residual lands below the tolerance is chance: over
+        # delta * (1 + k eps), k = 0 .. 299, both solvers took one more
+        # iteration in about 30% of the draws.  One more is allowed there.
+        x = ops.nodes
+        h = np.eye(x.size) + spec.alpha2 * (ops.q1_shifted / x[:, None])
+        rows = np.abs(h) @ np.abs(r.phi) + np.abs(spec.f(x, r.y_nodes))
+        floor = 4.0 * np.finfo(float).eps * np.max(rows)
+        assert r.newton_iters <= self.ELIMINATED_ITERS[case, alpha, n] + (floor > 1e-13)
 
 
 def _record_build_degrees(monkeypatch) -> list:
