@@ -6,19 +6,7 @@ regular singular point at the origin into integral form, and solves them to
 spectral accuracy.  A priori error bounds, a registry of closed-form test
 problems, and a benchmark command line round out the toolkit.
 """
-from .basis import (
-    BasisConfig,
-    NodeSet,
-    RootFindingError,
-    christoffel_weights,
-    eval_gegenbauer,
-    gauss_radau_nodes,
-    node_polynomial,
-    node_table,
-    normalization,
-    shift_nodeset,
-    standard_nodeset,
-)
+from .basis import BasisConfig, NodeSet, RootFindingError, shift_nodeset, standard_nodeset
 from .bounds import (
     BoundInputs,
     bound_derivative_error,
@@ -29,21 +17,8 @@ from .bounds import (
 )
 from .config import ConfigError, ProblemConfig, load_config, parse_config_text
 from .expressions import DomainEvalError, Expression, ExpressionError, parse_expression
-from .quadrature import (
-    IntegrationOperators,
-    build_operators,
-    build_q1,
-    interpolate,
-    shift_operators,
-)
-from .registry import (
-    ExampleCase,
-    ReferenceMAE,
-    ReferenceTable,
-    RegistryError,
-    all_examples,
-    get_example,
-)
+from .quadrature import IntegrationOperators, build_operators, interpolate
+from .registry import ExampleCase, RegistryError, all_examples, get_example
 from .solver import (
     NonlinearSolveError,
     ProblemSpec,
@@ -67,8 +42,6 @@ __all__ = [
     "NonlinearSolveError",
     "ProblemConfig",
     "ProblemSpec",
-    "ReferenceMAE",
-    "ReferenceTable",
     "RegistryError",
     "RootFindingError",
     "SolverResult",
@@ -79,20 +52,12 @@ __all__ = [
     "bound_residual",
     "bound_solution_error",
     "build_operators",
-    "build_q1",
-    "christoffel_weights",
-    "eval_gegenbauer",
-    "gauss_radau_nodes",
     "get_example",
     "interpolate",
     "load_config",
-    "node_polynomial",
-    "node_table",
-    "normalization",
     "parse_config_text",
     "parse_expression",
     "shift_nodeset",
-    "shift_operators",
     "solve",
     "solve_problem",
     "standard_nodeset",

@@ -27,7 +27,6 @@ __all__ = [
     "BasisConfig",
     "NodeSet",
     "RootFindingError",
-    "eval_gegenbauer",
     "node_polynomial",
     "normalization",
     "gauss_radau_nodes",
@@ -138,11 +137,6 @@ def _recurrence(alpha: float, m: int, x, table: bool = True
     if table:
         out = out.reshape((m + 1,) + shape)
     return out, diff[0], diff[1]
-
-
-def eval_gegenbauer(alpha: float, m: int, x) -> np.ndarray:
-    """Evaluate G_0 .. G_m at x; returns shape (m+1,) + shape(x)."""
-    return _recurrence(alpha, m, x)[0]
 
 
 def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:

@@ -166,12 +166,6 @@ def render_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_degree(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return n
-
-
 def _solve_and_report(spec: ProblemSpec, n: int, alpha: float, points, exact_fn,
                       csv_path) -> int:
     result = solve_problem(spec, n, alpha)
@@ -203,7 +197,7 @@ def _parse_n_list(text: str) -> list[int]:
         raise ValueError(f"bad degree list {text!r}: {err}") from err
     if not values:
         raise ValueError("degree list is empty")
-    return [_check_degree(n) for n in values]
+    return values
 
 
 def _parse_alpha_range(text: str) -> list[float]:

@@ -18,7 +18,7 @@ from .solver import ProblemSpec
 __all__ = ["ProblemConfig", "ConfigError", "parse_config_text", "load_config"]
 
 _SCALAR_KEYS = ("alpha1", "alpha2", "beta", "gamma", "delta", "b", "alpha")
-_KNOWN_KEYS = set(_SCALAR_KEYS) | {"kind", "n", "alpha", "f", "p", "g", "exact", "eval_points"}
+_KNOWN_KEYS = set(_SCALAR_KEYS) | {"kind", "n", "f", "p", "g", "exact", "eval_points"}
 _DEFAULT_EVAL_POINTS = 50
 
 
@@ -28,38 +28,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Parsed configuration: problem data, discretization, evaluation setup."""
+    """Parsed configuration: the problem, its discretization and evaluation setup."""
 
-    kind: str
-    alpha1: float
-    alpha2: float
-    beta: float
-    gamma: float
-    delta: float
-    b: float
+    _spec: ProblemSpec
     n: int
     alpha: float
-    f: Expression | None
-    p: Expression | None
-    g: Expression | None
     exact: Expression | None
     eval_points: int
 
     def to_spec(self) -> ProblemSpec:
-        """Build the solver-facing problem description, with dfdy = df/dy."""
-        return ProblemSpec(
-            kind=self.kind,
-            alpha1=self.alpha1,
-            alpha2=self.alpha2,
-            beta=self.beta,
-            gamma=self.gamma,
-            delta=self.delta,
-            b=self.b,
-            p=self.p,
-            g=self.g,
-            f=self.f,
-            dfdy=None if self.f is None else self.f.derivative("y"),
-        )
+        """The solver-facing problem description, with dfdy = df/dy."""
+        return self._spec
 
 
 def _scalar(raw: str, key: str, line_no: int) -> float:
@@ -77,7 +56,11 @@ def _expression(raw: str, key: str, line_no: int, variables: tuple[str, ...]) ->
 
 
 def parse_config_text(text: str) -> ProblemConfig:
-    """Parse configuration text; raises ConfigError with line positions."""
+    """Parse configuration text; raises ConfigError with line positions.
+
+    Data that parses but fails the checks of ``ProblemSpec`` (say beta and
+    gamma both 0) raises that plain ValueError.
+    """
     raw: dict[str, tuple[str, int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -151,7 +134,7 @@ def parse_config_text(text: str) -> ProblemConfig:
         exact_value, exact_line = raw["exact"]
         exact = _expression(exact_value, "exact", exact_line, ("x",))
 
-    return ProblemConfig(
+    spec = ProblemSpec(
         kind=kind_value,
         alpha1=scalars["alpha1"],
         alpha2=scalars["alpha2"],
@@ -159,14 +142,12 @@ def parse_config_text(text: str) -> ProblemConfig:
         gamma=scalars["gamma"],
         delta=scalars["delta"],
         b=scalars["b"],
-        n=n,
-        alpha=scalars["alpha"],
-        f=f,
         p=p,
         g=g,
-        exact=exact,
-        eval_points=eval_points,
+        f=f,
+        dfdy=None if f is None else f.derivative("y"),
     )
+    return ProblemConfig(spec, n, scalars["alpha"], exact, eval_points)
 
 
 def load_config(path) -> ProblemConfig:

@@ -5,22 +5,21 @@ to approximations of its integral from the left endpoint to each node; the
 second-order operator does the same for the iterated (double) integral.  Both
 are dense (n+1) x (n+1) matrices acting on node-value vectors.  Q1 is built
 on [-1, 1] from the nodeset's own table of G_0 .. G_{n+1} (``node_table``),
-once per (alpha, n); ``shift_operators`` maps it onto [0, b].  Q2 is formed
-from the shifted Q1 the first time it is read.
+once per (alpha, n); ``shift_operators`` maps it onto [0, b] and forms Q2
+from the shifted Q1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import (BasisConfig, NodeSet, eval_gegenbauer, node_table, normalization,
-                    shift_nodeset, standard_nodeset)
+from .basis import (BasisConfig, NodeSet, node_table, normalization, shift_nodeset,
+                    standard_nodeset)
 
 __all__ = [
     "IntegrationOperators",
-    "integrate_basis",
     "build_q1",
     "shift_operators",
     "build_operators",
@@ -34,51 +33,37 @@ _BASIS_CACHE_SIZE = 8
 
 @dataclass(frozen=True)
 class IntegrationOperators:
-    """The nodeset and the first- and second-order integration matrices on [0, b]."""
+    """The nodeset and the first- and second-order integration matrices on [0, b].
+
+    ``shift_operators`` builds all three; both matrices are read-only.
+    """
 
     shifted: NodeSet
     q1_shifted: np.ndarray
+    q2_shifted: np.ndarray
 
     def __post_init__(self):
         self.q1_shifted.setflags(write=False)
+        self.q2_shifted.setflags(write=False)
 
     @property
     def nodes(self) -> np.ndarray:
         """Collocation abscissas on [0, b], descending from b."""
         return self.shifted.nodes
 
-    @cached_property
-    def q2_shifted(self) -> np.ndarray:
-        """Second-order integration matrix on [0, b], built on first read.
 
-        Swapping the order of the double integral collapses it to a single
-        integral with kernel (x - t): entry (i, k) is (x_i - x_k) Q1[i, k] in
-        the shifted abscissas, so the kernel factor is exact there and the
-        diagonal is exactly zero.
-        """
-        q2 = np.subtract.outer(self.nodes, self.nodes)
-        q2 *= self.q1_shifted
-        q2.setflags(write=False)
-        return q2
+def _antiderivatives(alpha: float, g: np.ndarray) -> np.ndarray:
+    """Antiderivatives of G_0 .. G_m vanishing at -1, from the table G_0 .. G_{m+1} at x.
 
-
-def integrate_basis(alpha: float, m: int, x) -> np.ndarray:
-    """Antiderivatives of G_0 .. G_m vanishing at -1, evaluated at x.
-
-    Row j holds the integral of G_j from -1 to x.  Rows 0 and 1 are x + 1 and
-    (x^2 - 1)/2; higher rows use the closed form
+    ``g`` is that table, so g[1] = x.  Row j holds the integral of G_j from
+    -1 to x.  Rows 0 and 1 are x + 1 and (x^2 - 1)/2; higher rows use the
+    closed form
 
         a_j G_{j+1}(x) - b_j G_{j-1}(x) + (-1)^j (a_j - b_j),
         a_j = (j+2a) / (2 (j+a) (j+1)),   b_j = j / (2 (j+a) (j+2a-1)),
 
     which follows from integrating the three-term recurrence.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _antiderivatives(alpha, eval_gegenbauer(alpha, m + 1, x))
-
-
-def _antiderivatives(alpha: float, g: np.ndarray) -> np.ndarray:
-    """Rows 0 .. m of ``integrate_basis`` from the table G_0 .. G_{m+1} at x = g[1]."""
     x, m = g[1], len(g) - 2
     out = np.empty((m + 1, x.size))
     out[0] = x + 1.0
@@ -107,11 +92,19 @@ def build_q1(nodeset: NodeSet, *, table: np.ndarray) -> np.ndarray:
 
 
 def shift_operators(q1: np.ndarray, standard: NodeSet, b: float) -> IntegrationOperators:
-    """Map the standard nodeset and Q1 onto [0, b].
+    """Map the standard nodeset and Q1 onto [0, b], and form Q2 there.
 
     The first-order matrix scales by exactly b/2 under the affine map.
+    Swapping the order of the double integral collapses it to a single
+    integral with kernel (x - t): entry (i, k) of Q2 is (x_i - x_k) Q1[i, k]
+    in the shifted abscissas, so the kernel factor is exact there and the
+    diagonal is exactly zero.
     """
-    return IntegrationOperators(shift_nodeset(standard, b), (b / 2.0) * q1)
+    shifted = shift_nodeset(standard, b)
+    q1 = (b / 2.0) * q1
+    q2 = np.subtract.outer(shifted.nodes, shifted.nodes)
+    q2 *= q1
+    return IntegrationOperators(shifted, q1, q2)
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)

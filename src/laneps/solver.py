@@ -124,7 +124,8 @@ class SolverResult:
     ``phi`` holds the computed y'' values at the nodes; ``kappa_inf`` is set
     for linear solves only and ``newton_iters``/``step_norms`` for nonlinear
     ones.  These count the Newton run at this degree only; ``seed_degree`` is
-    the degree whose solution started it (None for a start from z = 0).
+    the degree whose solution started it (None for the start Phi = 0 with the
+    y0 that meets the border row, see the module docstring).
     ``evaluate`` interpolates y off the nodes (exactly y0 at x = 0).
     """
 
@@ -194,8 +195,10 @@ def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
     """
     z = np.asarray(z0, dtype=float).copy()
     steps: list[float] = []
-    fval = residual_fn(z)
-    fnorm = float(np.max(np.abs(fval)))
+    # f may overflow at the start or at a trial step; the isfinite tests reject both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fval = residual_fn(z)
+        fnorm = float(np.max(np.abs(fval)))
     if not np.isfinite(fnorm):
         raise NonlinearSolveError("residual not finite at the initial guess")
     for it in range(1, _NEWTON_MAXITER + 1):
@@ -204,7 +207,6 @@ def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
         step = _linear_step(jacobian_fn(z), -fval)
         t = 1.0
         for _ in range(_ARMIJO_HALVINGS + 1):
-            # A trial step may overflow f; the isfinite test rejects it.
             with np.errstate(over="ignore", invalid="ignore"):
                 trial = z + t * step
                 f_trial = residual_fn(trial)

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from laneps.basis import BasisConfig, eval_gegenbauer, normalization, standard_nodeset
+from laneps.basis import BasisConfig, _recurrence, normalization, standard_nodeset
 from laneps.bounds import (
     BoundInputs,
     bound_derivative_error,
@@ -17,7 +17,7 @@ from laneps.bounds import (
     bound_residual,
     bound_solution_error,
 )
-from laneps.quadrature import build_operators, integrate_basis
+from laneps.quadrature import _antiderivatives, build_operators
 from laneps.registry import get_example
 from laneps.solver import solve_problem
 
@@ -124,7 +124,7 @@ def test_criterion_08_discrete_orthonormality_and_node_structure():
     for alpha in ALPHA_GRID:
         for n in range(1, 21):
             ns = standard_nodeset(BasisConfig(alpha, n))
-            g = eval_gegenbauer(alpha, n, ns.nodes)
+            g = _recurrence(alpha, n, ns.nodes)[0]
             lambdas = np.array([normalization(alpha, j) for j in range(n + 1)])
             gram = (g * ns.weights[None, :]) @ g.T / lambdas[:, None]
             worst = max(worst, float(np.max(np.abs(gram - np.eye(n + 1)))))
@@ -145,10 +145,10 @@ def test_criterion_09_antiderivative_oracle_equivalence():
     worst = 0.0
     for alpha in ALPHA_GRID:
         xs = rng.uniform(-1.0, 1.0, size=20)
-        rows = integrate_basis(alpha, 24, xs)
+        rows = _antiderivatives(alpha, _recurrence(alpha, 25, xs)[0])
         for i, x in enumerate(xs):
             half = (x + 1.0) / 2.0
-            exact = half * eval_gegenbauer(alpha, 24, half * (t + 1.0) - 1.0) @ w
+            exact = half * _recurrence(alpha, 24, half * (t + 1.0) - 1.0)[0] @ w
             worst = max(worst, float(np.max(np.abs(rows[:, i] - exact))))
     ok = worst <= 1e-12
     _report(9, ok, f"worst deviation={worst:.3e}")

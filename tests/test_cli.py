@@ -235,6 +235,17 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    def test_spec_check_failure_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "no_condition.cfg"
+        cfg.write_text(
+            "kind = linear\nalpha1 = 0\nalpha2 = 1\nbeta = 0\ngamma = 0\n"
+            "delta = 0\nb = 1\np = 0\ng = 2*x\nn = 6\nalpha = 0.5\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "solve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == "error: beta and gamma cannot both vanish\n"
+
     def test_nonconvergent_solve_exits_nonzero(self, capsys, tmp_path):
         cfg = tmp_path / "stiff.cfg"
         cfg.write_text(

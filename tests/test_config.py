@@ -35,17 +35,19 @@ def _swap(text: str, old: str, new: str) -> str:
 class TestHappyPath:
     def test_minimal_linear_problem(self):
         cfg = parse_config_text(LINEAR)
-        assert cfg.kind == "linear"
         assert cfg.n == 6 and cfg.alpha == 0.5
         assert cfg.exact is None
         assert cfg.eval_points == 50  # default lattice size
         spec = cfg.to_spec()
+        assert spec.kind == "linear"
         assert spec.beta == 1.0 and spec.b == 1.0
+        assert spec.f is None and spec.dfdy is None
+        assert cfg.to_spec() is spec  # built once, at parse time
 
     def test_scalar_fields_accept_constant_expressions(self):
         text = _swap(LINEAR, "delta = 0", "delta = sqrt(3)/2")
         cfg = parse_config_text(text)
-        assert cfg.delta == math.sqrt(3.0) / 2.0
+        assert cfg.to_spec().delta == math.sqrt(3.0) / 2.0
 
     def test_nonlinear_problem_with_exact_solution(self):
         text = """\
@@ -66,6 +68,10 @@ eval_points = 11
         assert cfg.eval_points == 11
         assert cfg.exact is not None
         assert float(cfg.exact(1.0)) == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-15)
+        spec = cfg.to_spec()
+        assert spec.kind == "nonlinear" and spec.p is None and spec.g is None
+        assert float(spec.dfdy(0.5, 2.0)) == 5.0 * 2.0**4  # f_y = 5 y^4
+        assert cfg.to_spec() is spec
 
     def test_shipped_configs_parse(self):
         for i in range(1, 6):
@@ -127,3 +133,10 @@ class TestRejections:
         text = _swap(LINEAR, "b = 1", "b = x")
         with pytest.raises(ConfigError):
             parse_config_text(text)
+
+    def test_spec_checks_raise_a_plain_value_error(self):
+        """Data that parses but fails ProblemSpec's checks is not a ConfigError."""
+        text = _swap(LINEAR, "beta = 1", "beta = 0")  # gamma = 0 as well
+        with pytest.raises(ValueError, match="^beta and gamma cannot both vanish$") as err:
+            parse_config_text(text)
+        assert not isinstance(err.value, ConfigError)

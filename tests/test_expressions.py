@@ -148,10 +148,14 @@ class TestLiteralFastPath:
         monkeypatch.setattr(expressions, "_never_leaves_domain", lambda op, args: False)
         checked = parse_config_text(text)
         rng = np.random.default_rng(example_id)
-        x = rng.uniform(0.01, fast.b, 257)
+        x = rng.uniform(0.01, fast.to_spec().b, 257)
         y = rng.uniform(0.1, 2.0, 257)
+
+        def field(cfg, key):
+            return cfg.exact if key == "exact" else getattr(cfg.to_spec(), key)
+
         for key, var in (("f", "y"), ("p", "x"), ("g", "x"), ("exact", "x")):
-            ours, ref = getattr(fast, key), getattr(checked, key)
+            ours, ref = field(fast, key), field(checked, key)
             if ours is None:
                 continue
             args = (x, y) if key == "f" else (x,)

@@ -1,4 +1,6 @@
 """Tests for the integral collocation solver on both boundary-condition branches."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,21 @@ class TestNewton:
         )
         with pytest.raises(NonlinearSolveError, match="line search stalled"):
             solve_problem(spec, 32, 0.5)
+
+    def test_overflowing_start_raises_without_warning(self):
+        # y = x^2 - 2 with a tiny beta: the start y0* = (delta - gamma*a1)/beta
+        # is about 2e8, where exp overflows before any step is taken.
+        beta = 1e-8
+        spec = ProblemSpec(
+            kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=beta, gamma=1.0,
+            delta=2.0 - beta, b=1.0, f=lambda x, y: np.exp(y) - np.exp(x**2 - 2.0) - 4.0,
+            dfdy=lambda x, y: np.exp(y),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonlinearSolveError,
+                               match="^residual not finite at the initial guess$"):
+                solve_problem(spec, 16, 0.5)
 
 
 def _index5_dirichlet(a=1.1, b=1.2):
