@@ -10,11 +10,13 @@ a = 0 gives the Chebyshev polynomials of the first kind and a = 1/2 the
 Legendre polynomials.  Collocation uses the right-endpoint Gauss-Radau points:
 x = 1 together with the n roots of q_n = G_{n+1} - G_n, computed as Golub–Welsch
 eigenvalues of the Jacobi matrix, one Newton polish.  One private pass of the
-recurrence yields the values G_0 .. G_m and their derivatives together, and
-every evaluation goes through it.  A standard basis makes two passes: one at
-the Golub–Welsch nodes for the polish (``node_polynomial``), and one at the
-polished nodes (``node_table``), whose table of G_0 .. G_{n+1} the
-Christoffel weights and Q1 read and whose q_n' gives the barycentric weights.
+recurrence yields the values G_0 .. G_m, with or without their derivatives,
+and every evaluation goes through it.  A standard basis makes two passes: a
+values-only one at the Golub–Welsch nodes for the polish, whose q_n' comes
+from the last three values by a derivative identity, and one with slopes at
+the polished nodes (``node_table``), whose table of G_0 .. G_{n+1} the
+Christoffel weights and Q1 read and whose recurrence q_n' gives the
+barycentric weights.
 """
 from __future__ import annotations
 
@@ -87,7 +89,7 @@ class NodeSet:
             arr.setflags(write=False)
 
 
-def _recurrence(alpha: float, m: int, x, table: bool = True
+def _recurrence(alpha: float, m: int, x, table: bool = True, slopes: bool = True
                 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """One pass of the recurrence to degree m at x: (G_0 .. G_m, G_m - G_{m-1}, G_m' - G_{m-1}').
 
@@ -102,45 +104,62 @@ def _recurrence(alpha: float, m: int, x, table: bool = True
     keeps the operations and their order of its own recurrence, so both agree
     bit for bit with the two evaluated in separate loops.  The pairs cycle
     through three rows, so a pass allocates no more than its table.
+
+    Without ``slopes`` the pass drops the slope row and advances the values
+    alone, with the same operations, so the table and G_m - G_{m-1} are the
+    same bits.  The slope difference then comes from the last three values by
+    the identity (1 - x^2) G_j' = j (G_{j-1} - x G_j) (Szego, Orthogonal
+    Polynomials, 1939, section 4.7), which loses digits near x = +-1 and is
+    undefined there: it is good for a Newton correction, not for 1/q_n'.
     """
     _check_alpha(alpha)
     _check_degree(m)
     x = np.asarray(x, dtype=float)
     shape, x = x.shape, x.reshape(-1)  # 1-D, so that a pair row holds x
-    pairs = np.zeros((3, 2, x.size))  # (G_k, G_k') in row k % 3; G_{-1} = G'_{-1} = 0
+    rows = 2 if slopes else 1  # (G_k, G_k'), or G_k alone
+    pairs = np.zeros((3, rows, x.size))  # G_k's pair in row k % 3; G_{-1} = G'_{-1} = 0
     pairs[0, 0] = 1.0
     if m >= 1:
-        pairs[1, 0], pairs[1, 1] = x, 1.0
+        pairs[1, 0], pairs[1, 1:] = x, 1.0
     out = np.empty((m + 1, x.size)) if table else None
     if table:
         out[:2] = pairs[:2, 0][:m + 1]  # G_0, and G_1 when m >= 1
-    factor = np.empty((2, x.size))
-    factor[1] = x
+    factor = np.empty((rows, x.size))
+    factor[1:] = x  # the slope row's factor, when there is a slope row
     scaled = np.empty_like(factor)
     prev, cur = pairs[0], pairs[1]
     for k in range(1, m):
         c = 2 * (k + alpha)
         step = pairs[(k + 1) % 3]
-        slope = step[1]
         np.multiply(c, x, out=factor[0])
         np.multiply(cur, factor, out=step)  # (c x G_k, x G_k')
-        np.add(cur[0], slope, out=slope)
-        np.multiply(c, slope, out=slope)
+        if slopes:
+            slope = step[1]
+            np.add(cur[0], slope, out=slope)
+            np.multiply(c, slope, out=slope)
         np.multiply(k, prev, out=scaled)
         np.subtract(step, scaled, out=step)
         np.divide(step, k + 2 * alpha, out=step)
         if table:
             np.copyto(out[k + 1], step[0])
         prev, cur = cur, step
-    last, before = pairs[m % 3], pairs[(m - 1) % 3]
-    diff = (last - before).reshape((2,) + shape)
     if table:
         out = out.reshape((m + 1,) + shape)
-    return out, diff[0], diff[1]
+    last, before = pairs[m % 3], pairs[(m - 1) % 3]
+    if slopes:
+        diff = (last - before).reshape((2,) + shape)
+        return out, diff[0], diff[1]
+    g_m, g_before, g_earlier = last[0], before[0], pairs[(m - 2) % 3, 0]
+    slope = (m * (g_before - x * g_m) - (m - 1) * (g_earlier - x * g_before)) / (1.0 - x * x)
+    return out, (g_m - g_before).reshape(shape), slope.reshape(shape)
 
 
 def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate q_n = G_{n+1} - G_n and its derivative at x in one recurrence pass."""
+    """Evaluate q_n = G_{n+1} - G_n and its derivative at x in one recurrence pass.
+
+    This is the reference evaluator of q_n and q_n', both from the recurrence;
+    the node polish no longer calls it.
+    """
     _check_degree(n)
     return _recurrence(alpha, n + 1, x, False)[1:]
 
@@ -154,31 +173,34 @@ def normalization(alpha: float, n: int) -> float:
     and reduces to pi at a = 0 (returned exactly).
     """
     _check_alpha(alpha)
-    if n == 0:
-        if alpha == 0.0:
-            return math.pi
-        return math.exp(
-            2 * alpha * math.log(2) + 2 * math.lgamma(alpha + 0.5) - math.lgamma(2 * alpha + 1)
-        )
-    return math.exp(
-        (2 * alpha - 1) * math.log(2)
-        + math.lgamma(n + 1)
-        + 2 * math.lgamma(alpha + 0.5)
-        - math.log(n + alpha)
-        - math.lgamma(n + 2 * alpha)
-    )
+    return _squared_norms(alpha, (n,))[0]
 
 
-def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
-    """Right-endpoint Gauss-Radau abscissas: 1 and the roots of q_n, descending.
+def _squared_norms(alpha: float, degrees) -> list[float]:
+    """``normalization(alpha, j)`` for each j of ``degrees``, without its check.
 
-    The interior roots are the Gauss nodes of the Jacobi weight
-    (1 - x)^(a + 1/2) (1 + x)^(a - 1/2): Golub–Welsch eigenvalues of the Jacobi
-    matrix, one Newton polish on q_n (Golub & Welsch, Math. Comp. 23, 1969).
+    The terms that depend on alpha alone are formed once; the sum keeps its
+    order, so each value has the same bits as a single call.
     """
-    alpha, n = cfg.alpha, cfg.n
-    if n == 0:
-        return np.array([1.0])
+    head = (2 * alpha - 1) * math.log(2)
+    gammas = 2 * math.lgamma(alpha + 0.5)
+    norms = []
+    for j in degrees:
+        if j == 0:
+            norms.append(math.pi if alpha == 0.0 else math.exp(
+                2 * alpha * math.log(2) + gammas - math.lgamma(2 * alpha + 1)))
+        else:
+            norms.append(math.exp(head + math.lgamma(j + 1) + gammas - math.log(j + alpha)
+                                  - math.lgamma(j + 2 * alpha)))
+    return norms
+
+
+def _golub_welsch(alpha: float, n: int) -> np.ndarray:
+    """The n roots of q_n, descending, as eigenvalues of the Jacobi matrix, unpolished.
+
+    They are the Gauss nodes of the Jacobi weight (1 - x)^(a + 1/2) (1 + x)^(a - 1/2)
+    (Golub & Welsch, Math. Comp. 23, 1969).
+    """
     a, b = alpha + 0.5, alpha - 0.5
     k = np.arange(1, n)
     s = 2 * k + a + b
@@ -188,8 +210,22 @@ def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
     off = np.sqrt(4 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1) * (s - 1)))
     jacobi = np.diag(diag)
     jacobi[k, k - 1] = off  # eigvalsh reads only the lower triangle
-    x = np.linalg.eigvalsh(jacobi)[::-1]
-    q, qd = node_polynomial(alpha, n, x)
+    return np.linalg.eigvalsh(jacobi)[::-1]
+
+
+def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
+    """Right-endpoint Gauss-Radau abscissas: 1 and the roots of q_n, descending.
+
+    The interior roots are the Golub–Welsch eigenvalues after one Newton
+    polish on q_n.  The polish reads q_n' from a values-only pass: the
+    correction is a few ulps, so the digits its q_n' loses near +-1 do not
+    reach the nodes.
+    """
+    alpha, n = cfg.alpha, cfg.n
+    if n == 0:
+        return np.array([1.0])
+    x = _golub_welsch(alpha, n)
+    _, q, qd = _recurrence(alpha, n + 1, x, False, False)
     nodes = np.concatenate(([1.0], x - q / qd))
     if not (np.all(np.diff(nodes) < 0) and nodes[-1] > -1.0):
         raise RootFindingError("computed nodes are not strictly descending in (-1, 1]")

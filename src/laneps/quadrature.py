@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import (BasisConfig, NodeSet, node_table, normalization, shift_nodeset,
+from .basis import (BasisConfig, NodeSet, _squared_norms, node_table, shift_nodeset,
                     standard_nodeset)
 
 __all__ = [
@@ -71,7 +71,10 @@ def _antiderivatives(alpha: float, g: np.ndarray) -> np.ndarray:
     j = np.arange(2, m + 1)[:, None]
     a_j = (j + 2 * alpha) / (2 * (j + alpha) * (j + 1))
     b_j = j / (2 * (j + alpha) * (j + 2 * alpha - 1))
-    out[2:] = a_j * g[3:] - b_j * g[1:m] + (-1) ** j * (a_j - b_j)
+    rows = out[2:]  # the closed form, left to right, in place
+    np.multiply(a_j, g[3:], out=rows)
+    rows -= b_j * g[1:m]
+    rows += (-1) ** j * (a_j - b_j)
     return out
 
 
@@ -86,9 +89,11 @@ def build_q1(nodeset: NodeSet, *, table: np.ndarray) -> np.ndarray:
     """
     if nodeset.interval != (-1.0, 1.0):
         raise ValueError("build_q1 expects a standard [-1, 1] nodeset")
-    lambdas = np.array([normalization(nodeset.alpha, j) for j in range(nodeset.n + 1)])
+    lambdas = np.array(_squared_norms(nodeset.alpha, range(nodeset.n + 1)))
     anti = _antiderivatives(nodeset.alpha, table)
-    return (anti.T @ (table[:-1] / lambdas[:, None])) * nodeset.weights[None, :]
+    q1 = anti.T @ (table[:-1] / lambdas[:, None])
+    q1 *= nodeset.weights
+    return q1
 
 
 def shift_operators(q1: np.ndarray, standard: NodeSet, b: float) -> IntegrationOperators:

@@ -251,12 +251,16 @@ def _newton_start(spec: ProblemSpec, ops: IntegrationOperators):
     return None, z0
 
 
+def _check_degree(n: int) -> None:
+    if n < 1:  # the one-node rule collocates at b alone and returns a wrong y0
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     """Solve F(z) = 0 for z = (Phi, y0) (see the module docstring)."""
     x, q1 = ops.nodes, ops.q1_shifted
     m = x.size
-    if m < 2:  # the one-node rule collocates at b alone and returns a wrong y0
-        raise ValueError(f"n must be at least 1, got {m - 1}")
+    _check_degree(m - 1)
     h = np.divide(q1, x[:, None])  # H = I + a2 * Q1 / x in this one buffer
     h *= spec.alpha2
     h.reshape(-1)[:: m + 1] += 1.0
@@ -342,4 +346,5 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
 
 def solve_problem(spec: ProblemSpec, n: int, alpha: float) -> SolverResult:
     """Build operators for (n, alpha) on [0, b] and solve."""
+    _check_degree(n)
     return solve(spec, build_operators(BasisConfig(alpha, n), spec.b))

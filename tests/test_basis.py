@@ -1,5 +1,6 @@
 """Tests for the polynomial family, Radau nodes, and Christoffel weights."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from laneps.basis import (
     BasisConfig,
     NodeSet,
+    _golub_welsch,
     _recurrence,
     christoffel_weights,
     gauss_radau_nodes,
@@ -23,6 +25,8 @@ ALPHA_GRID = (-0.4, 0.0, 0.5, 1.1, 2.0)
 NODE_ALPHAS = ALPHA_GRID + (-0.499, 5.0, 20.0)
 NODE_DEGREES = (1, 2, 3, 5, 8, 12, 16, 20, 64, 128, 512)
 ORACLE_DEGREES = (1, 2, 8, 32)
+POLISH_ALPHAS = (-0.499, -0.4, -0.2, 0.0, 0.3, 0.5, 1.0, 2.0, 5.0, 20.0)
+POLISH_DEGREES = (1, 2, 3, 7, 16, 33, 64, 127, 128, 255, 256, 511, 512)
 EPS = np.finfo(float).eps
 
 alphas = st.sampled_from(ALPHA_GRID)
@@ -181,6 +185,29 @@ class TestNodes:
         nodes = gauss_radau_nodes(BasisConfig(alpha, n))
         q, qd = node_polynomial(alpha, n, nodes)
         assert np.all(np.abs(q) <= 4 * EPS * np.abs(qd))
+
+    @pytest.mark.parametrize("alpha", POLISH_ALPHAS)
+    @pytest.mark.parametrize("n", POLISH_DEGREES)
+    def test_values_only_q_is_bit_identical_to_the_reference(self, alpha, n):
+        x = _golub_welsch(alpha, n)
+        _, q, _ = _recurrence(alpha, n + 1, x, False, False)
+        assert np.array_equal(q, node_polynomial(alpha, n, x)[0])
+
+    @pytest.mark.parametrize("alpha", POLISH_ALPHAS)
+    @pytest.mark.parametrize("n", POLISH_DEGREES)
+    def test_polish_is_bit_identical_to_the_reference_newton_step(self, alpha, n):
+        """The identity's q_n' only scales a correction of a few ulps."""
+        x = _golub_welsch(alpha, n)
+        q, qd = node_polynomial(alpha, n, x)
+        assert np.array_equal(gauss_radau_nodes(BasisConfig(alpha, n))[1:], x - q / qd)
+
+    @pytest.mark.parametrize("alpha", [-0.499, 20.0])
+    def test_polish_at_n_1024_raises_no_warning(self, alpha):
+        """The identity divides by 1 - x^2, which the extreme nodes bring nearest 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes = gauss_radau_nodes(BasisConfig(alpha, 1024))
+        assert np.all(np.isfinite(nodes))
 
     @pytest.mark.parametrize("n", [1, 16, 128, 512])
     def test_chebyshev_closed_form(self, n):

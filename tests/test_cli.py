@@ -73,6 +73,11 @@ class TestExample:
         code, _, _ = run(capsys, "nodes", "--n", "0", "--alpha", "0.5", "--b", "1")
         assert code == 0  # a one-node rule is still a valid quadrature dump
 
+    def test_negative_degree_gets_the_same_message(self, capsys):
+        code, out, err = run(capsys, "example", "1", "--n", "-1", "--alpha", "0.5")
+        assert code == 1 and out == ""
+        assert err == "error: n must be at least 1, got -1\n"
+
 
 class TestNodes:
     def test_dump_shape_and_endpoint(self, capsys):
@@ -166,6 +171,13 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "1", "--n", "4,0", "--csv", str(path))
         assert code == 1
         assert "n must be at least 1" in err
+        assert not path.exists()
+
+    def test_negative_degree_gets_the_same_message(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "1", "--n=-1,4", "--csv", str(path))
+        assert code == 1
+        assert err == "error: n must be at least 1, got -1\n"
         assert not path.exists()
 
 
