@@ -81,7 +81,7 @@ def build_report(
         rel_is_abs = (np.abs(exact_vals) < _RE_TINY) | (points == spec.b)
         with np.errstate(divide="ignore", invalid="ignore"):
             rel_err = np.where(rel_is_abs, abs_err, abs_err / np.abs(exact_vals))
-        mae = float(np.max(abs_err))
+        mae = float(abs_err.max())
         exact_b = float(_eval_exact(exact_fn, np.array([spec.b]))[0])
         ae_b = abs(float(result.y_nodes[0]) - exact_b)
     return Report(
@@ -98,7 +98,7 @@ def build_report(
         ae_b=ae_b,
         kappa_inf=result.kappa_inf,
         newton_iters=result.newton_iters,
-        residual_max=float(np.max(np.abs(result.residual_nodes))),
+        residual_max=float(np.abs(result.residual_nodes).max()),
     )
 
 

@@ -35,7 +35,12 @@ search stalls first, z counts as converged only when max|F(z)| is at the
 rounding level of evaluating F (4 eps times the largest row of
 |H||Phi| + |f| + |a1*a2/x|, or of the border row's terms) and the Newton step
 is below sqrt(eps)*max|z|; otherwise NonlinearSolveError is raised, as it is
-when f_y is not finite at an iterate.  The linear step and kappa_inf share one
+when f_y is not finite at an iterate.  Each residual evaluation returns F and
+the y it was formed from; the Jacobian is built from that y, and the result
+reports the y and F of the accepted iterate, so y is formed once per iterate.
+One error state covers a whole Newton run (f and f_y) and the evaluation of p
+and g: a value that overflows to inf or NaN becomes the typed error of the
+finiteness test that sees it, never a RuntimeWarning.  The linear step and kappa_inf share one
 LU factorization: J is solved against [-F(0) | I], whose first column is the
 step and whose rest is J^-1 (inversion by solves against the identity; Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec.
@@ -183,49 +188,53 @@ def _step_and_condition(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, flo
         sol = np.linalg.solve(a, block)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(a, rhs, rcond=None)[0], math.inf
-    kappa = np.linalg.norm(a, np.inf) * np.linalg.norm(sol[:, 1:], np.inf)
+    kappa = np.abs(a).sum(axis=1).max() * np.abs(sol[:, 1:]).sum(axis=1).max()
     return sol[:, 0].copy(), float(kappa)
 
 
 def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
     """Newton iteration with Armijo backtracking on the max-norm residual.
 
-    ``scale_fn(z)`` is the largest row sum of the magnitudes of the terms of
-    F(z); it sets the rounding floor that ends a stalled line search.
+    ``residual_fn(z)`` returns F(z) and the node values y it was formed from;
+    ``jacobian_fn(y)`` builds J at that iterate, and ``scale_fn(z, y)`` is the
+    largest row sum of the magnitudes of the terms of F(z), which sets the
+    rounding floor that ends a stalled line search.  The whole run is one
+    error state: f and f_y may overflow at the start or at a trial step, and
+    the finiteness tests turn that into a rejected trial or a
+    NonlinearSolveError.  Returns z, F(z) and y of the accepted iterate, the
+    iteration count and the step norms.
     """
     z = np.asarray(z0, dtype=float).copy()
     steps: list[float] = []
-    # f may overflow at the start or at a trial step; the isfinite tests reject both.
     with np.errstate(over="ignore", invalid="ignore"):
-        fval = residual_fn(z)
-        fnorm = float(np.max(np.abs(fval)))
-    if not np.isfinite(fnorm):
-        raise NonlinearSolveError("residual not finite at the initial guess")
-    for it in range(1, _NEWTON_MAXITER + 1):
-        if fnorm <= _NEWTON_TOL:
-            return z, it - 1, steps
-        step = _linear_step(jacobian_fn(z), -fval)
-        t = 1.0
-        for _ in range(_ARMIJO_HALVINGS + 1):
-            with np.errstate(over="ignore", invalid="ignore"):
+        fval, y = residual_fn(z)
+        fnorm = float(np.abs(fval).max())
+        if not math.isfinite(fnorm):
+            raise NonlinearSolveError("residual not finite at the initial guess")
+        for it in range(1, _NEWTON_MAXITER + 1):
+            if fnorm <= _NEWTON_TOL:
+                return z, fval, y, it - 1, steps
+            step = _linear_step(jacobian_fn(y), -fval)
+            t = 1.0
+            for _ in range(_ARMIJO_HALVINGS + 1):
                 trial = z + t * step
-                f_trial = residual_fn(trial)
-                f_trial_norm = float(np.max(np.abs(f_trial)))
-            if np.isfinite(f_trial_norm) and f_trial_norm <= (1.0 - 1e-4 * t) * fnorm:
-                break
-            t *= 0.5
-        else:
-            floor = _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z)
-            if fnorm <= floor and np.max(np.abs(step)) <= _STEP_RTOL * np.max(np.abs(z)):
-                return z, it - 1, steps
-            raise NonlinearSolveError(
-                f"line search stalled at iteration {it} "
-                f"(residual {fnorm:.3e}, rounding floor {floor:.3e})"
-            )
-        z, fval, fnorm = trial, f_trial, f_trial_norm
-        steps.append(float(np.max(np.abs(t * step))))
-        if steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL:
-            return z, it, steps
+                f_trial, y_trial = residual_fn(trial)
+                f_trial_norm = float(np.abs(f_trial).max())
+                if math.isfinite(f_trial_norm) and f_trial_norm <= (1.0 - 1e-4 * t) * fnorm:
+                    break
+                t *= 0.5
+            else:
+                floor = _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y)
+                if fnorm <= floor and np.abs(step).max() <= _STEP_RTOL * np.abs(z).max():
+                    return z, fval, y, it - 1, steps
+                raise NonlinearSolveError(
+                    f"line search stalled at iteration {it} "
+                    f"(residual {fnorm:.3e}, rounding floor {floor:.3e})"
+                )
+            z, fval, y, fnorm = trial, f_trial, y_trial, f_trial_norm
+            steps.append(float(np.abs(t * step).max()))
+            if steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL:
+                return z, fval, y, it, steps
     raise NonlinearSolveError(
         f"no convergence within {_NEWTON_MAXITER} iterations (residual {fnorm:.3e})"
     )
@@ -267,10 +276,11 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     sing = spec.alpha1 * spec.alpha2 / x
     a1x = spec.alpha1 * x
     if spec.kind == "linear":
-        pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
-        gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # the isfinite test rejects overflow
+            pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
+            gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
         for name, vals in (("p", pvals), ("g", gvals)):
-            if not np.all(np.isfinite(vals)):
+            if not np.isfinite(vals).all():
                 raise ValueError(f"{name}(x) is not finite at every node")
 
         def f(_, y):
@@ -289,46 +299,46 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     top = beta * q2[0] + spec.gamma * q1[0]
     border = beta * spec.alpha1 * spec.b + spec.gamma * spec.alpha1 - spec.delta
 
-    def y_map(z):
-        return z[m] + a1x + q2 @ z[:m]
-
     def residual(z):
+        # F(z) and the y = y0 + a1*x + Q2 Phi it was formed from.
         phi = z[:m]
+        y = z[m] + a1x + q2 @ phi
         fz = np.empty(m + 1)
         rows = fz[:m]
         np.matmul(h, phi, out=rows)
-        rows += f(x, y_map(z))
+        rows += f(x, y)
         rows += sing
         fz[m] = top @ phi + beta * z[m] + border
-        return fz
+        return fz, y
 
     jac = np.empty((m + 1, m + 1))
     jac[m, :m] = top
     jac[m, m] = beta
 
-    def jacobian(z):
+    def jacobian(y):
         # [[H + f_y * Q2, f_y], border row], overwriting the one J of this solve.
-        fy = dfdy(x, y_map(z))
-        if not np.all(np.isfinite(fy)):
-            bad = float(x[~np.isfinite(fy)][0])
-            raise NonlinearSolveError(f"f_y not finite at x = {bad:.17g}")
+        fy = dfdy(x, y)
+        finite = np.isfinite(fy)
+        if not finite.all():
+            raise NonlinearSolveError(f"f_y not finite at x = {float(x[~finite][0]):.17g}")
         np.multiply(fy[:, None], q2, out=jac[:m, :m])
         jac[:m, :m] += h
         jac[:m, m] = fy
         return jac
 
-    def scale(z):
-        rows = np.abs(h) @ np.abs(z[:m]) + np.abs(f(x, y_map(z))) + np.abs(sing)
+    def scale(z, y):
+        rows = np.abs(h) @ np.abs(z[:m]) + np.abs(f(x, y)) + np.abs(sing)
         last = np.abs(top) @ np.abs(z[:m]) + abs(beta * z[m]) + abs(border)
-        return float(max(np.max(rows), last))
+        return float(max(rows.max(), last))
 
     if spec.kind == "linear":
-        z0 = np.zeros(m + 1)
-        z, kappa = _step_and_condition(jacobian(z0), -residual(z0))
+        fz, y = residual(np.zeros(m + 1))
+        z, kappa = _step_and_condition(jacobian(y), -fz)
+        fz, y = residual(z)
         diag = {"kappa_inf": kappa}
     else:
         seed_degree, z0 = _newton_start(spec, ops)
-        z, iters, steps = _damped_newton(residual, jacobian, scale, z0)
+        z, fz, y, iters, steps = _damped_newton(residual, jacobian, scale, z0)
         diag = {"newton_iters": iters, "step_norms": tuple(steps), "seed_degree": seed_degree}
 
     phi = z[:m]
@@ -336,10 +346,10 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         spec=spec,
         nodeset=ops.shifted,
         phi=phi,
-        y_nodes=y_map(z),
+        y_nodes=y,
         y0=float(z[m]),
         yprime_nodes=spec.alpha1 + q1 @ phi,
-        residual_nodes=residual(z)[:m],
+        residual_nodes=fz[:m],
         **diag,
     )
 

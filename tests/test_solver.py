@@ -1,4 +1,5 @@
 """Tests for the integral collocation solver on both boundary-condition branches."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -37,12 +38,19 @@ class TestRobinBranch:
         assert r.kappa_inf is not None and np.isfinite(r.kappa_inf)
 
     def test_two_solution_recoveries_agree(self):
-        """y at the nodes equals y0 + a1 x + double integration of Phi."""
-        case = get_example(1)
-        ops = build_operators(BasisConfig(0.1, 5), case.spec.b)
-        r = solve(case.spec, ops)
-        rebuilt = r.y0 + case.spec.alpha1 * r.nodes + ops.q2_shifted @ r.phi
-        assert np.max(np.abs(r.y_nodes - rebuilt)) <= 1e-12
+        """y at the nodes is y0 + a1 x + Q2 Phi bit for bit: the reported y
+        is the accepted iterate's, also after grid sequencing (n = 256) and
+        after a line search that rejected a trial step (alpha = 5)."""
+        for ex_id, n, alpha, halvings in ((1, 5, 0.1, None), (2, 256, 0.5, None),
+                                          (2, 32, 5.0, 1)):
+            spec, calls = _counting(get_example(ex_id).spec, ("f",))
+            ops = build_operators(BasisConfig(alpha, n), spec.b)
+            r = solve(spec, ops)
+            rebuilt = r.y0 + spec.alpha1 * r.nodes + ops.q2_shifted @ r.phi
+            assert np.array_equal(r.y_nodes, rebuilt)
+            if halvings is not None:
+                # One f call at the start and one per trial step.
+                assert calls["f"] == r.newton_iters + 1 + halvings
 
     def test_endpoint_value_is_structural_for_dirichlet_data(self):
         """With gamma = 0 the right-endpoint value is delta/beta to the rounding
@@ -87,6 +95,20 @@ class TestRobinBranch:
         assert abs(lin.y0 - nl.y0) <= 1e-12
 
 
+def _counting(spec, names) -> tuple[ProblemSpec, dict]:
+    """The spec with its callables ``names`` counting their calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        def call(*args, _fn=getattr(spec, name)):
+            calls[name] += 1
+            return _fn(*args)
+
+        return call
+
+    return dataclasses.replace(spec, **{name: counted(name) for name in names}), calls
+
+
 def _manufactured_neumann(p=lambda x: np.ones_like(x)):
     """y = x^2 solves y'' + 2y'/x + p y = p x^2 + 6 with y'(0) = 0, y'(1) = 2;
     p = 0 leaves y(0) free."""
@@ -122,6 +144,12 @@ class TestLinearFactorization:
     """A linear solve takes its step and kappa_inf from one LU factorization."""
 
     BRANCHES = {"robin": _manufactured_linear, "neumann": _manufactured_neumann}
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_p_and_g_are_evaluated_once(self, branch):
+        spec, calls = _counting(self.BRANCHES[branch](), ("p", "g"))
+        solve_problem(spec, 16, 0.5)
+        assert calls == {"p": 1, "g": 1}
 
     @pytest.mark.parametrize("branch", sorted(BRANCHES))
     def test_one_solve_and_no_inverse(self, monkeypatch, branch):
@@ -209,6 +237,24 @@ class TestNewton:
                            delta=0.0, b=1.0, f=f, dfdy=f.derivative("y"))
         with pytest.raises(NonlinearSolveError, match="^f_y not finite at x = "):
             solve_problem(spec, n, 0.5)
+
+    def test_overflowing_f_y_raises_without_warning(self):
+        spec = ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=2.0, beta=1.0, gamma=0.0,
+                           delta=2.0, b=1.0, f=lambda x, y: y - 1.0,
+                           dfdy=lambda x, y: np.exp(800.0 + 0.0 * y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonlinearSolveError, match="^f_y not finite at x = "):
+                solve_problem(spec, 8, 0.5)
+
+    @pytest.mark.parametrize("ex_id,n", [(2, 16), (4, 64), (5, 32)])
+    def test_one_f_call_per_iterate(self, ex_id, n):
+        """Without a halved step, f is called once at the start and once per
+        accepted iterate, and f_y once per iteration: the residual's y serves
+        the Jacobian and the result."""
+        spec, calls = _counting(get_example(ex_id).spec, ("f", "dfdy"))
+        r = solve_problem(spec, n, 0.5)
+        assert calls == {"f": r.newton_iters + 1, "dfdy": r.newton_iters}
 
     def test_unsolvable_problem_raises(self):
         spec = ProblemSpec(
@@ -462,6 +508,17 @@ class TestValidation:
                            gamma=gamma, delta=0.0, **data)
         with pytest.raises(ValueError, match=rf"^{name}\(x\) is not finite"):
             solve_problem(spec, 8, 0.5)
+
+    @pytest.mark.parametrize("name", ["p", "g"])
+    def test_overflowing_linear_data_raises_without_warning(self, name):
+        data = {"p": lambda x: np.ones_like(x), "g": lambda x: x}
+        data[name] = lambda x: np.exp(800.0 + 0.0 * x)
+        spec = ProblemSpec(kind="linear", alpha1=0.0, alpha2=1.0, beta=1.0,
+                           gamma=0.0, delta=0.0, **data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{name}\(x\) is not finite"):
+                solve_problem(spec, 8, 0.5)
 
     @pytest.mark.parametrize("ex_id", [1, 5])
     def test_rejects_a_degree_below_one(self, ex_id):
