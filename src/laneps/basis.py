@@ -10,12 +10,12 @@ a = 0 gives the Chebyshev polynomials of the first kind and a = 1/2 the
 Legendre polynomials.  Collocation uses the right-endpoint Gauss-Radau points:
 x = 1 together with the n roots of q_n = G_{n+1} - G_n, computed as Golub–Welsch
 eigenvalues of the Jacobi matrix, one Newton polish.  One private pass of the
-recurrence yields the values G_0 .. G_m, with or without their derivatives,
-and every evaluation goes through it.  A standard basis makes two passes: a
-values-only one at the Golub–Welsch nodes for the polish, whose q_n' comes
-from the last three values by a derivative identity, and one with slopes at
-the polished nodes (``node_table``), whose table of G_0 .. G_{n+1} the
-Christoffel weights and Q1 read and whose recurrence q_n' gives the
+recurrence yields the values G_0 .. G_m with their derivatives, or the last
+values alone, and every evaluation goes through it.  A standard basis makes
+two passes: a values-only one at the Golub–Welsch nodes for the polish, whose
+q_n' comes from the last three values by a derivative identity, and one with
+slopes at the polished nodes (``node_table``), whose table of G_0 .. G_{n+1}
+the Christoffel weights and Q1 read and whose recurrence q_n' gives the
 barycentric weights.
 """
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "NodeSet",
     "RootFindingError",
     "node_polynomial",
-    "normalization",
     "gauss_radau_nodes",
     "node_table",
     "christoffel_weights",
@@ -89,13 +88,13 @@ class NodeSet:
             arr.setflags(write=False)
 
 
-def _recurrence(alpha: float, m: int, x, table: bool = True, slopes: bool = True
+def _recurrence(alpha: float, m: int, x, slopes: bool = True
                 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """One pass of the recurrence to degree m at x: (G_0 .. G_m, G_m - G_{m-1}, G_m' - G_{m-1}').
 
-    The table has shape (m+1,) + shape(x) and is None unless ``table``; the
-    differences have the shape of x.  Each degree step advances the stacked
-    pair (G_k, G_k') by the recurrence and its derivative
+    The table has shape (m+1,) + shape(x); the differences have the shape of
+    x.  Each degree step advances the stacked pair (G_k, G_k') by the
+    recurrence and its derivative
 
         (k + 2a) G'_{k+1} = 2 (k + a) (G_k + x G'_k) - k G'_{k-1},
 
@@ -105,10 +104,12 @@ def _recurrence(alpha: float, m: int, x, table: bool = True, slopes: bool = True
     bit for bit with the two evaluated in separate loops.  The pairs cycle
     through three rows, so a pass allocates no more than its table.
 
-    Without ``slopes`` the pass drops the slope row and advances the values
-    alone, with the same operations, so the table and G_m - G_{m-1} are the
-    same bits.  The slope difference then comes from the last three values by
-    the identity (1 - x^2) G_j' = j (G_{j-1} - x G_j) (Szego, Orthogonal
+    Without ``slopes`` the pass is the values-only one of the node polish: it
+    drops the slope row and advances the values alone, with the same
+    operations, so G_m - G_{m-1} is the same bits, and it keeps no table,
+    since the polish reads only the last three values.  The table is then
+    None, and the slope difference comes from those three values by the
+    identity (1 - x^2) G_j' = j (G_{j-1} - x G_j) (Szego, Orthogonal
     Polynomials, 1939, section 4.7), which loses digits near x = +-1 and is
     undefined there: it is good for a Newton correction, not for 1/q_n'.
     """
@@ -121,8 +122,8 @@ def _recurrence(alpha: float, m: int, x, table: bool = True, slopes: bool = True
     pairs[0, 0] = 1.0
     if m >= 1:
         pairs[1, 0], pairs[1, 1:] = x, 1.0
-    out = np.empty((m + 1, x.size)) if table else None
-    if table:
+    if slopes:
+        out = np.empty((m + 1, x.size))
         out[:2] = pairs[:2, 0][:m + 1]  # G_0, and G_1 when m >= 1
     factor = np.empty((rows, x.size))
     factor[1:] = x  # the slope row's factor, when there is a slope row
@@ -140,18 +141,16 @@ def _recurrence(alpha: float, m: int, x, table: bool = True, slopes: bool = True
         np.multiply(k, prev, out=scaled)
         np.subtract(step, scaled, out=step)
         np.divide(step, k + 2 * alpha, out=step)
-        if table:
+        if slopes:
             np.copyto(out[k + 1], step[0])
         prev, cur = cur, step
-    if table:
-        out = out.reshape((m + 1,) + shape)
     last, before = pairs[m % 3], pairs[(m - 1) % 3]
     if slopes:
         diff = (last - before).reshape((2,) + shape)
-        return out, diff[0], diff[1]
+        return out.reshape((m + 1,) + shape), diff[0], diff[1]
     g_m, g_before, g_earlier = last[0], before[0], pairs[(m - 2) % 3, 0]
     slope = (m * (g_before - x * g_m) - (m - 1) * (g_earlier - x * g_before)) / (1.0 - x * x)
-    return out, (g_m - g_before).reshape(shape), slope.reshape(shape)
+    return None, (g_m - g_before).reshape(shape), slope.reshape(shape)
 
 
 def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
@@ -161,26 +160,17 @@ def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
     the node polish no longer calls it.
     """
     _check_degree(n)
-    return _recurrence(alpha, n + 1, x, False)[1:]
-
-
-def normalization(alpha: float, n: int) -> float:
-    """Squared weighted L2 norm of G_n on [-1, 1].
-
-    For n >= 1 this is 2^(2a-1) n! Gamma(a+1/2)^2 / ((n+a) Gamma(n+2a)); the
-    n = 0 value is computed from the equivalent form
-    2^(2a) Gamma(a+1/2)^2 / Gamma(2a+1), which stays well-defined for a < 0
-    and reduces to pi at a = 0 (returned exactly).
-    """
-    _check_alpha(alpha)
-    return _squared_norms(alpha, (n,))[0]
+    return _recurrence(alpha, n + 1, x)[1:]
 
 
 def _squared_norms(alpha: float, degrees) -> list[float]:
-    """``normalization(alpha, j)`` for each j of ``degrees``, without its check.
+    """Squared weighted L2 norms lambda_j of G_j on [-1, 1], for each j of ``degrees``.
 
-    The terms that depend on alpha alone are formed once; the sum keeps its
-    order, so each value has the same bits as a single call.
+    For j >= 1 this is 2^(2a-1) j! Gamma(a+1/2)^2 / ((j+a) Gamma(j+2a)); the
+    j = 0 value is computed from the equivalent form
+    2^(2a) Gamma(a+1/2)^2 / Gamma(2a+1), which stays well-defined for a < 0
+    and reduces to pi at a = 0 (returned exactly).  The terms that depend on
+    alpha alone are formed once.
     """
     head = (2 * alpha - 1) * math.log(2)
     gammas = 2 * math.lgamma(alpha + 0.5)
@@ -225,7 +215,7 @@ def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
     if n == 0:
         return np.array([1.0])
     x = _golub_welsch(alpha, n)
-    _, q, qd = _recurrence(alpha, n + 1, x, False, False)
+    _, q, qd = _recurrence(alpha, n + 1, x, False)
     nodes = np.concatenate(([1.0], x - q / qd))
     if not (np.all(np.diff(nodes) < 0) and nodes[-1] > -1.0):
         raise RootFindingError("computed nodes are not strictly descending in (-1, 1]")

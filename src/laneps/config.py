@@ -48,6 +48,16 @@ def _scalar(raw: str, key: str, line_no: int) -> float:
         raise ConfigError(f"line {line_no}: key {key!r}: {err}") from err
 
 
+def _integer(raw: str, key: str, line_no: int, minimum: int) -> int:
+    try:
+        value = int(raw)
+    except ValueError as err:
+        raise ConfigError(f"line {line_no}: {key} must be an integer, got {raw!r}") from err
+    if value < minimum:
+        raise ConfigError(f"line {line_no}: {key} must be at least {minimum}, got {value}")
+    return value
+
+
 def _expression(raw: str, key: str, line_no: int, variables: tuple[str, ...]) -> Expression:
     try:
         return parse_expression(raw, variables)
@@ -95,25 +105,11 @@ def parse_config_text(text: str) -> ProblemConfig:
         value, line_no = need(key)
         scalars[key] = _scalar(value, key, line_no)
     n_value, n_line = need("n")
-    try:
-        n = int(n_value)
-    except ValueError as err:
-        raise ConfigError(f"line {n_line}: n must be an integer, got {n_value!r}") from err
-    if n < 1:
-        raise ConfigError(f"line {n_line}: n must be at least 1, got {n}")
-
+    n = _integer(n_value, "n", n_line, 1)
+    eval_points = _DEFAULT_EVAL_POINTS
     if "eval_points" in raw:
         points_value, points_line = raw["eval_points"]
-        try:
-            eval_points = int(points_value)
-        except ValueError as err:
-            raise ConfigError(
-                f"line {points_line}: eval_points must be an integer, got {points_value!r}"
-            ) from err
-        if eval_points < 2:
-            raise ConfigError(f"line {points_line}: eval_points must be at least 2")
-    else:
-        eval_points = _DEFAULT_EVAL_POINTS
+        eval_points = _integer(points_value, "eval_points", points_line, 2)
 
     f = p = g = None
     if kind_value == "linear":

@@ -44,8 +44,10 @@ finiteness test that sees it, never a RuntimeWarning.  The linear step and kappa
 LU factorization: J is solved against [-F(0) | I], whose first column is the
 step and whose rest is J^-1 (inversion by solves against the identity; Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec.
-14.3).  An exactly singular J (p = 0 with beta = 0 leaves y(0) free) gets the
-minimum-norm least-squares step and kappa_inf = inf.
+14.3).  An exactly singular linear J (p = 0 with beta = 0 leaves y(0) free)
+raises numpy.linalg.LinAlgError.  Inside Newton an exactly singular J gets
+the minimum-norm least-squares step, and the residual test judges where it
+leads: a start with f_y = 0 everywhere and beta = 0 needs that step.
 """
 from __future__ import annotations
 
@@ -126,11 +128,12 @@ class ProblemSpec:
 class SolverResult:
     """Solution data at the collocation nodes plus solver diagnostics.
 
-    ``phi`` holds the computed y'' values at the nodes; ``kappa_inf`` is set
-    for linear solves only and ``newton_iters``/``step_norms`` for nonlinear
-    ones.  These count the Newton run at this degree only; ``seed_degree`` is
-    the degree whose solution started it (None for the start Phi = 0 with the
-    y0 that meets the border row, see the module docstring).
+    ``phi`` holds the computed y'' values at the nodes; ``kappa_inf`` is set,
+    finite, for linear solves only (a singular J raises) and
+    ``newton_iters``/``step_norms`` for nonlinear ones.  These count the
+    Newton run at this degree only; ``seed_degree`` is the degree whose
+    solution started it (None for the start Phi = 0 with the y0 that meets
+    the border row, see the module docstring).
     ``evaluate`` interpolates y off the nodes (exactly y0 at x = 0).
     """
 
@@ -180,14 +183,11 @@ def _linear_step(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _step_and_condition(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """The step a^-1 rhs and the infinity-norm condition number of a, from one
-    factorization; the minimum-norm step and +inf for an exactly singular a."""
+    factorization; an exactly singular a raises numpy.linalg.LinAlgError."""
     block = np.zeros((rhs.size, rhs.size + 1))
     block[:, 0] = rhs
     np.fill_diagonal(block[:, 1:], 1.0)
-    try:
-        sol = np.linalg.solve(a, block)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, rhs, rcond=None)[0], math.inf
+    sol = np.linalg.solve(a, block)
     kappa = np.abs(a).sum(axis=1).max() * np.abs(sol[:, 1:]).sum(axis=1).max()
     return sol[:, 0].copy(), float(kappa)
 

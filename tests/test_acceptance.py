@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from laneps.basis import BasisConfig, _recurrence, normalization, standard_nodeset
+from laneps.basis import BasisConfig, _recurrence, _squared_norms, standard_nodeset
 from laneps.bounds import (
     BoundInputs,
     bound_derivative_error,
@@ -125,7 +125,7 @@ def test_criterion_08_discrete_orthonormality_and_node_structure():
         for n in range(1, 21):
             ns = standard_nodeset(BasisConfig(alpha, n))
             g = _recurrence(alpha, n, ns.nodes)[0]
-            lambdas = np.array([normalization(alpha, j) for j in range(n + 1)])
+            lambdas = np.array(_squared_norms(alpha, range(n + 1)))
             gram = (g * ns.weights[None, :]) @ g.T / lambdas[:, None]
             worst = max(worst, float(np.max(np.abs(gram - np.eye(n + 1)))))
             assert np.all(ns.weights > 0.0)

@@ -13,10 +13,10 @@ from laneps.basis import (
     NodeSet,
     _golub_welsch,
     _recurrence,
+    _squared_norms,
     christoffel_weights,
     gauss_radau_nodes,
     node_polynomial,
-    normalization,
     shift_nodeset,
     standard_nodeset,
 )
@@ -154,17 +154,18 @@ class TestEvaluation:
 
 class TestScaleFactors:
     def test_chebyshev_normalization(self):
-        assert normalization(0.0, 0) == math.pi
-        for k in (1, 3, 8):
-            assert normalization(0.0, k) == pytest.approx(math.pi / 2.0, rel=1e-13)
+        lambdas = _squared_norms(0.0, (0, 1, 3, 8))
+        assert lambdas[0] == math.pi
+        assert lambdas[1:] == pytest.approx([math.pi / 2.0] * 3, rel=1e-13)
 
     def test_legendre_normalization(self):
-        for k in (0, 2, 4, 9):
-            assert normalization(0.5, k) == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)
+        degrees = (0, 2, 4, 9)
+        expected = [2.0 / (2 * k + 1) for k in degrees]
+        assert _squared_norms(0.5, degrees) == pytest.approx(expected, rel=1e-13)
 
     @given(alpha=alphas, m=st.integers(min_value=0, max_value=10))
     def test_normalization_positive(self, alpha, m):
-        assert normalization(alpha, m) > 0.0
+        assert _squared_norms(alpha, (m,))[0] > 0.0
 
 
 class TestNodes:
@@ -190,7 +191,7 @@ class TestNodes:
     @pytest.mark.parametrize("n", POLISH_DEGREES)
     def test_values_only_q_is_bit_identical_to_the_reference(self, alpha, n):
         x = _golub_welsch(alpha, n)
-        _, q, _ = _recurrence(alpha, n + 1, x, False, False)
+        _, q, _ = _recurrence(alpha, n + 1, x, False)
         assert np.array_equal(q, node_polynomial(alpha, n, x)[0])
 
     @pytest.mark.parametrize("alpha", POLISH_ALPHAS)
@@ -244,7 +245,7 @@ class TestWeights:
         """sum_j w_j G_k(x_j) G_l(x_j) = lambda_k delta_kl for k + l <= 2n."""
         ns = standard_nodeset(BasisConfig(alpha, n))
         g = _recurrence(alpha, n, ns.nodes)[0]
-        lambdas = np.array([normalization(alpha, j) for j in range(n + 1)])
+        lambdas = np.array(_squared_norms(alpha, range(n + 1)))
         gram = (g * ns.weights[None, :]) @ g.T / lambdas[:, None]
         assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-10
 

@@ -258,6 +258,19 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err == "error: beta and gamma cannot both vanish\n"
 
+    def test_singular_linear_system_exits_1(self, capsys, tmp_path):
+        # p = 0 with beta = 0 leaves y(0) free, and y'(1) = -2 contradicts
+        # y'' + 2y'/x = 6, whose regular solutions all have y'(1) = 2.
+        cfg = tmp_path / "singular.cfg"
+        cfg.write_text(
+            "kind = linear\nalpha1 = 0\nalpha2 = 2\nbeta = 0\ngamma = 1\n"
+            "delta = -2\nb = 1\np = 0\ng = 6\nn = 16\nalpha = 0.5\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "solve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == "error: Singular matrix\n"
+
     def test_nonconvergent_solve_exits_nonzero(self, capsys, tmp_path):
         cfg = tmp_path / "stiff.cfg"
         cfg.write_text(

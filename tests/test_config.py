@@ -112,10 +112,15 @@ class TestRejections:
             parse_config_text(text)
 
     def test_bad_degree_and_lattice(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^line 14: n must be at least 1, got 0$"):
             parse_config_text(_swap(LINEAR, "n = 6", "n = 0"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^line 14: n must be an integer, got '6.5'$"):
+            parse_config_text(_swap(LINEAR, "n = 6", "n = 6.5"))
+        with pytest.raises(ConfigError, match="^line 16: eval_points must be at least 2, got 1$"):
             parse_config_text(LINEAR + "eval_points = 1\n")
+        with pytest.raises(ConfigError,
+                           match="^line 16: eval_points must be an integer, got 'ten'$"):
+            parse_config_text(LINEAR + "eval_points = ten\n")
 
     def test_malformed_expression_reports_line_and_column(self):
         text = _swap(LINEAR, "g = 2*x", "g = sin(")

@@ -170,14 +170,17 @@ class TestLinearFactorization:
 
 
 class TestNeumannBranch:
-    def test_free_constant_resolved_by_minimum_norm(self, monkeypatch):
-        """p = 0 leaves y(0) free; the returned solution picks y(0) = 0."""
+    @pytest.mark.parametrize("delta", [2.0, -2.0], ids=["free-constant", "inconsistent"])
+    def test_singular_linear_jacobian_raises(self, monkeypatch, delta):
+        """p = 0 leaves y(0) free: y = x^2 + c solves the problem for every c
+        when y'(1) = 2, and none does when y'(1) = -2.  Either way J is
+        singular, and the one LU factorization reports it."""
+        spec = dataclasses.replace(_manufactured_neumann(p=lambda x: np.zeros_like(x)),
+                                   delta=delta)
         calls = _count_linalg(monkeypatch)
-        r = solve_problem(_manufactured_neumann(p=lambda x: np.zeros_like(x)), 6, 0.5)
-        assert calls == {"solve": 1, "inv": 0, "lstsq": 1}
-        assert np.max(np.abs(r.y_nodes - r.nodes**2)) <= 1e-12
-        assert r.y0 == 0.0
-        assert r.kappa_inf == np.inf
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            solve_problem(spec, 16, 0.5)
+        assert calls == {"solve": 1, "inv": 0, "lstsq": 0}
 
     def test_reaction_term_pins_the_constant(self):
         r = solve_problem(_manufactured_neumann(), 6, 0.5)
@@ -255,6 +258,25 @@ class TestNewton:
         spec, calls = _counting(get_example(ex_id).spec, ("f", "dfdy"))
         r = solve_problem(spec, n, 0.5)
         assert calls == {"f": r.newton_iters + 1, "dfdy": r.newton_iters}
+
+    @pytest.mark.parametrize("n", [8, 64, 300])
+    @pytest.mark.parametrize("a2", [1.0, 2.0])
+    def test_singular_jacobian_at_the_start_takes_the_minimum_norm_step(
+            self, monkeypatch, a2, n):
+        """y = 1 + x^2 with beta = 0: the start y = 0 gives f_y = 2y = 0, so
+        the first J leaves y(0) free, and only the least-squares step moves
+        the iterate; the residual then pins y(0).  From n = 256 on that step
+        falls in the coarse run, whose solution starts the fine one."""
+        spec = ProblemSpec(
+            kind="nonlinear", alpha1=0.0, alpha2=a2, beta=0.0, gamma=1.0, delta=2.0, b=1.0,
+            f=lambda x, y: y**2 - (1.0 + x**2) ** 2 - (2.0 + 2.0 * a2),
+            dfdy=lambda x, y: 2.0 * y,
+        )
+        calls = _count_linalg(monkeypatch)
+        r = solve_problem(spec, n, 0.5)
+        assert calls["lstsq"] == 1
+        assert np.max(np.abs(r.y_nodes - (1.0 + r.nodes**2))) <= 1e-13
+        assert r.seed_degree == (32 if n == 300 else None)
 
     def test_unsolvable_problem_raises(self):
         spec = ProblemSpec(
