@@ -11,11 +11,14 @@ Legendre polynomials.  Collocation uses the right-endpoint Gauss-Radau points:
 x = 1 together with the n roots of q_n = G_{n+1} - G_n, computed as Golub–Welsch
 eigenvalues of the Jacobi matrix, one Newton polish.  One private pass of the
 recurrence yields the values G_0 .. G_m with their derivatives, or the last
-values alone, and every evaluation goes through it.  A standard basis makes
-two passes: a values-only one at the Golub–Welsch nodes for the polish, whose
-q_n' comes from the last three values by a derivative identity, and one with
-slopes at the polished nodes (``node_table``), whose table of G_0 .. G_{n+1}
-the Christoffel weights and Q1 read and whose recurrence q_n' gives the
+values alone, and every evaluation goes through it; it forms the products
+2 (k + a) x of 32 degrees at a time by one outer product and hands numpy its
+per-degree scalars as 0-d arrays, so each degree step makes four numpy calls
+without slopes and seven with them.  A standard basis makes two passes: a
+values-only one at the Golub–Welsch nodes for the polish, whose q_n' comes
+from the last three values by a derivative identity, and one with slopes at
+the polished nodes (``node_table``), whose table of G_0 .. G_{n+1} the
+Christoffel weights and Q1 read and whose recurrence q_n' gives the
 barycentric weights.
 """
 from __future__ import annotations
@@ -29,10 +32,7 @@ __all__ = [
     "BasisConfig",
     "NodeSet",
     "RootFindingError",
-    "node_polynomial",
-    "gauss_radau_nodes",
     "node_table",
-    "christoffel_weights",
     "standard_nodeset",
     "shift_nodeset",
 ]
@@ -50,6 +50,10 @@ def _check_alpha(alpha: float) -> None:
 def _check_degree(n: int) -> None:
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
+
+
+#: Recurrence steps whose products c_k x one outer product forms.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,11 @@ class NodeSet:
             arr.setflags(write=False)
 
 
+def _scalars(values: np.ndarray) -> list[np.ndarray]:
+    """The entries of a 1-D array as 0-d arrays, which a ufunc reads faster than Python numbers."""
+    return [values[j, ...] for j in range(values.size)]
+
+
 def _recurrence(alpha: float, m: int, x, slopes: bool = True
                 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """One pass of the recurrence to degree m at x: (G_0 .. G_m, G_m - G_{m-1}, G_m' - G_{m-1}').
@@ -98,11 +107,16 @@ def _recurrence(alpha: float, m: int, x, slopes: bool = True
 
         (k + 2a) G'_{k+1} = 2 (k + a) (G_k + x G'_k) - k G'_{k-1},
 
-    sharing the product by (2 (k+a) x, x), the k-multiple of the previous
-    pair, the subtraction and the division between the two rows.  Each row
-    keeps the operations and their order of its own recurrence, so both agree
-    bit for bit with the two evaluated in separate loops.  The pairs cycle
-    through three rows, so a pass allocates no more than its table.
+    sharing the product by (c_k x, x), c_k = 2 (k + a), the k-multiple of
+    the previous pair, the subtraction and the division between the two rows.
+    The products c_k x of _BLOCK degrees at a time come from one outer
+    product into a buffer whose slope row holds x throughout, and k, c_k and
+    k + 2a are 0-d arrays made once per block, so a degree step makes seven
+    numpy calls with slopes and four without, none of which converts a Python
+    number.  Each row keeps the operations and their order of its own
+    recurrence, so both agree bit for bit with the two evaluated in separate
+    loops, one product c_k x per degree.  The pairs cycle through three rows,
+    so beside its table a pass allocates O(_BLOCK * size(x)).
 
     Without ``slopes`` the pass is the values-only one of the node polish: it
     drops the slope row and advances the values alone, with the same
@@ -125,25 +139,35 @@ def _recurrence(alpha: float, m: int, x, slopes: bool = True
     if slopes:
         out = np.empty((m + 1, x.size))
         out[:2] = pairs[:2, 0][:m + 1]  # G_0, and G_1 when m >= 1
-    factor = np.empty((rows, x.size))
-    factor[1:] = x  # the slope row's factor, when there is a slope row
-    scaled = np.empty_like(factor)
-    prev, cur = pairs[0], pairs[1]
-    for k in range(1, m):
-        c = 2 * (k + alpha)
-        step = pairs[(k + 1) % 3]
-        np.multiply(c, x, out=factor[0])
-        np.multiply(cur, factor, out=step)  # (c x G_k, x G_k')
+    factors = np.empty((min(_BLOCK, m), rows, x.size))  # (c_k x, x) for a block of steps
+    factors[:, 1:] = x
+    k = np.arange(1.0, m)  # the degrees k = 1 .. m-1 that the steps advance from
+    c, d = 2 * (k + alpha), k + 2 * alpha  # the bits of 2 * (k + alpha) and k + 2 * alpha
+    scaled = np.empty((rows, x.size))
+    views = list(factors)  # per-step views, built once
+    # the three rows as (pair, value row, slope row), rotated one place per step
+    prev, cur, nxt = zip(pairs, pairs[:, 0], pairs[:, -1])
+    for start in range(0, m - 1, _BLOCK):
+        stop = min(start + _BLOCK, m - 1)
+        np.multiply.outer(c[start:stop], x, out=factors[:stop - start, 0])
+        # the block's scalars and table rows, made per block so that a pass
+        # holds O(_BLOCK) of these objects; each ufunc below takes its output
+        # positionally, which numpy parses faster than a keyword
+        ks, ds = _scalars(k[start:stop]), _scalars(d[start:stop])
         if slopes:
-            slope = step[1]
-            np.add(cur[0], slope, out=slope)
-            np.multiply(c, slope, out=slope)
-        np.multiply(k, prev, out=scaled)
-        np.subtract(step, scaled, out=step)
-        np.divide(step, k + 2 * alpha, out=step)
-        if slopes:
-            np.copyto(out[k + 1], step[0])
-        prev, cur = cur, step
+            cs, table = _scalars(c[start:stop]), list(out[start + 2:stop + 2])
+        for j, factor in enumerate(views[:stop - start]):  # j: the step's place in its block
+            step, value, slope = nxt
+            np.multiply(cur[0], factor, step)  # (c x G_k, x G_k')
+            if slopes:
+                np.add(cur[1], slope, slope)  # G_k + x G_k'
+                np.multiply(cs[j], slope, slope)
+            np.multiply(ks[j], prev[0], scaled)
+            np.subtract(step, scaled, step)
+            np.divide(step, ds[j], step)
+            if slopes:
+                table[j][...] = value  # G_{k+1}
+            prev, cur, nxt = cur, nxt, prev
     last, before = pairs[m % 3], pairs[(m - 1) % 3]
     if slopes:
         diff = (last - before).reshape((2,) + shape)

@@ -217,7 +217,8 @@ def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
             step = _linear_step(jacobian_fn(y), -fval)
             t = 1.0
             for _ in range(_ARMIJO_HALVINGS + 1):
-                trial = z + t * step
+                taken = step if t == 1.0 else t * step
+                trial = z + taken
                 f_trial, y_trial = residual_fn(trial)
                 f_trial_norm = float(np.abs(f_trial).max())
                 if math.isfinite(f_trial_norm) and f_trial_norm <= (1.0 - 1e-4 * t) * fnorm:
@@ -232,7 +233,7 @@ def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
                     f"(residual {fnorm:.3e}, rounding floor {floor:.3e})"
                 )
             z, fval, y, fnorm = trial, f_trial, y_trial, f_trial_norm
-            steps.append(float(np.abs(t * step).max()))
+            steps.append(float(np.abs(taken).max()))
             if steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL:
                 return z, fval, y, it, steps
     raise NonlinearSolveError(

@@ -27,6 +27,11 @@ NODE_DEGREES = (1, 2, 3, 5, 8, 12, 16, 20, 64, 128, 512)
 ORACLE_DEGREES = (1, 2, 8, 32)
 POLISH_ALPHAS = (-0.499, -0.4, -0.2, 0.0, 0.3, 0.5, 1.0, 2.0, 5.0, 20.0)
 POLISH_DEGREES = (1, 2, 3, 7, 16, 33, 64, 127, 128, 255, 256, 511, 512)
+#: Recurrence degrees m, which take the steps k = 1 .. m - 1.  m = 33 fills
+#: the first 32-step block of c_k x products exactly; 32 stops one step short
+#: of it and 34 takes one step into the second block.
+PASS_DEGREES = (1, 2, 3, 8, 32, 33, 34, 129, 513)
+PASS_ALPHAS = (-0.499, -0.4, 0.0, 0.5, 2.0, 5.0, 20.0)
 EPS = np.finfo(float).eps
 
 alphas = st.sampled_from(ALPHA_GRID)
@@ -53,6 +58,13 @@ def _textbook_node_derivative(alpha, g):
     for k in range(1, len(g) - 1):
         d_prev, d = d, (2 * (k + alpha) * (g[k] + x * d) - k * d_prev) / (k + 2 * alpha)
     return d - d_prev
+
+
+def _textbook_identity_slope(m, g):
+    """G_m' - G_{m-1}' at x = g[1] from the table g by (1 - x^2) G_j' = j (G_{j-1} - x G_j)."""
+    x = g[1]
+    earlier = g[m - 2] if m >= 2 else 0.0  # G_{-1} = 0
+    return (m * (g[m - 1] - x * g[m]) - (m - 1) * (earlier - x * g[m - 1])) / (1.0 - x * x)
 
 
 def _assert_close(computed, exact, n):
@@ -124,8 +136,8 @@ class TestEvaluation:
         _assert_close(q_val, exact_q, n)
         _assert_close(qd, exact_qd, n)
 
-    @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.0, 0.5, 2.0, 5.0, 20.0])
-    @pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 33, 129, 513])
+    @pytest.mark.parametrize("alpha", PASS_ALPHAS)
+    @pytest.mark.parametrize("m", (0,) + PASS_DEGREES)
     def test_one_pass_is_bit_identical_to_the_textbook_loops(self, alpha, m):
         rng = np.random.default_rng(m)
         for x in (0.3, np.linspace(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0, (2, 3))):
@@ -135,6 +147,27 @@ class TestEvaluation:
                 q, qd = node_polynomial(alpha, m - 1, x)
                 assert np.array_equal(q, g[m] - g[m - 1])
                 assert np.array_equal(qd, _textbook_node_derivative(alpha, g))
+
+    @pytest.mark.parametrize("alpha", PASS_ALPHAS)
+    @pytest.mark.parametrize("m", PASS_DEGREES)
+    def test_values_only_pass_is_bit_identical_to_the_textbook_loop(self, alpha, m):
+        """At arbitrary points inside (-1, 1), not only at Golub–Welsch nodes."""
+        rng = np.random.default_rng(m)
+        for x in (0.3, np.linspace(-0.9, 0.9, 7), rng.uniform(-0.99, 0.99, (2, 3))):
+            g = _textbook_table(alpha, m, x)
+            table, q, qd = _recurrence(alpha, m, x, False)
+            assert table is None
+            assert q.shape == qd.shape == np.shape(x)
+            assert np.array_equal(q, g[m] - g[m - 1])
+            assert np.array_equal(qd, _textbook_identity_slope(m, g))
+
+    @pytest.mark.parametrize("alpha", PASS_ALPHAS)
+    def test_degree_zero_pass_takes_g_minus_one_as_zero(self, alpha):
+        x = np.linspace(-1.0, 1.0, 5)
+        table, q, qd = _recurrence(alpha, 0, x)
+        assert np.array_equal(table, np.ones((1, 5)))
+        assert np.array_equal(q, np.ones(5))  # G_0 - G_{-1}
+        assert np.array_equal(qd, np.zeros(5))  # G_0' - G_{-1}'
 
     def test_rejects_a_negative_degree(self):
         with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
