@@ -30,14 +30,19 @@ and the fine run starts from the coarse Phi interpolated to the fine nodes and
 the coarse y0.  If the coarse run fails numerically (NonlinearSolveError, or
 an ArithmeticError such as a domain error of f), the fine run takes the start
 used below n = 256; SolverResult.seed_degree records which start was taken.
-Newton stops when the residual or the step falls to _NEWTON_TOL.  If the line
-search stalls first, z counts as converged only when max|F(z)| is at the
-rounding level of evaluating F (4 eps times the largest row of
-|H||Phi| + |f| + |a1*a2/x|, or of the border row's terms) and the Newton step
-is below sqrt(eps)*max|z|; otherwise NonlinearSolveError is raised, as it is
-when f_y is not finite at an iterate.  Each residual evaluation returns F and
-the y it was formed from; the Jacobian is built from that y, and the result
-reports the y and F of the accepted iterate, so y is formed once per iterate.
+The fine run at n >= 256 takes each Newton step from matrix-free GMRES on
+J v, with no J formed, to an inexact-Newton forcing term; a step that GMRES
+misses within _GMRES_MAXITER iterations takes the LU step on the dense J,
+which is formed only then.  Every other Newton step, and the linear step,
+is LU.  Newton stops when the residual or the step falls to _NEWTON_TOL.
+When the full step is rejected, z counts as converged at the rounding floor
+if max|F(z)| is at the rounding level of evaluating F (4 eps times the
+largest row of |H||Phi| + |f| + |a1*a2/x|, or of the border row's terms) and
+that Newton step is below sqrt(eps)*max|z|.  Otherwise the line search halves
+the step, and if it stalls NonlinearSolveError is raised, as it is when f_y
+is not finite at an iterate.  Each residual evaluation returns F and the y it
+was formed from; the Newton step is taken at that y, and the result reports
+the y and F of the accepted iterate, so y is formed once per iterate.
 One error state covers a whole Newton run (f and f_y) and the evaluation of p
 and g: a value that overflows to inf or NaN becomes the typed error of the
 finiteness test that sees it, never a RuntimeWarning.  The linear step and kappa_inf share one
@@ -76,9 +81,13 @@ _ARMIJO_HALVINGS = 30
 #: row of |terms| of F) and max|step| <= _STEP_RTOL * max|z|.
 _FLOOR_FACTOR = 4.0
 _STEP_RTOL = math.sqrt(np.finfo(float).eps)
-#: A nonlinear solve at n >= 8 * _COARSE_N starts Newton from the solution at
-#: this degree; below that a coarse build and solve cost about what they save.
+#: A nonlinear solve at n >= _FINE_N = 8 * _COARSE_N starts Newton from the
+#: solution at _COARSE_N and takes its steps from GMRES; below that a coarse
+#: build and solve cost about what they save, and a Krylov step loses to LU.
 _COARSE_N = 32
+_FINE_N = 8 * _COARSE_N
+#: GMRES iterations per Newton step before the step falls back to LU.
+_GMRES_MAXITER = 40
 
 
 class NonlinearSolveError(RuntimeError):
@@ -181,6 +190,52 @@ def _linear_step(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(a, rhs, rcond=None)[0]
 
 
+def _gmres(matvec, rhs: np.ndarray, rtol: float, basis: np.ndarray) -> np.ndarray | None:
+    """Unrestarted GMRES from 0 for A x = rhs (Saad & Schultz, SIAM J. Sci.
+    Stat. Comput. 7, 1986), with CGS2 Arnoldi and Givens rotations.
+
+    ``matvec(v, out)`` writes A v into ``out``; ``basis`` is a (cap + 1,
+    rhs.size) workspace for the Krylov basis.  Returns x with
+    ||rhs - A x||_2 <= rtol ||rhs||_2, or None if cap iterations do not reach
+    that or the Arnoldi process breaks down on a singular A.
+    """
+    rnorm = math.sqrt(rhs @ rhs)
+    if not math.isfinite(rnorm):
+        return None
+    np.divide(rhs, rnorm, out=basis[0])
+    g = [rnorm]  # the rotated right-hand side rnorm * e_1
+    cols: list[list[float]] = []  # the columns of the rotated Hessenberg R
+    rotations: list[tuple[float, float]] = []
+    for k in range(basis.shape[0] - 1):
+        w, v = basis[k + 1], basis[: k + 1]
+        matvec(basis[k], w)
+        h = v @ w
+        w -= h @ v
+        again = v @ w  # classical Gram-Schmidt twice is as stable as modified
+        w -= again @ v
+        h += again
+        below = math.sqrt(w @ w)
+        col = h.tolist()
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        diag = math.hypot(col[k], below)
+        if not (math.isfinite(diag) and diag > 0.0):
+            return None
+        c, s = col[k] / diag, below / diag
+        rotations.append((c, s))
+        col[k] = diag
+        cols.append(col)
+        g.append(-s * g[k])
+        g[k] *= c
+        if abs(g[k + 1]) <= rtol * rnorm:
+            y = [0.0] * (k + 1)  # back substitution R y = g
+            for i in range(k, -1, -1):
+                y[i] = (g[i] - sum(cols[j][i] * y[j] for j in range(i + 1, k + 1))) / cols[i][i]
+            return np.asarray(y) @ v
+        w /= below
+    return None
+
+
 def _step_and_condition(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """The step a^-1 rhs and the infinity-norm condition number of a, from one
     factorization; an exactly singular a raises numpy.linalg.LinAlgError."""
@@ -192,13 +247,16 @@ def _step_and_condition(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, flo
     return sol[:, 0].copy(), float(kappa)
 
 
-def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
+def _damped_newton(residual_fn, step_fn, scale_fn, z0: np.ndarray):
     """Newton iteration with Armijo backtracking on the max-norm residual.
 
     ``residual_fn(z)`` returns F(z) and the node values y it was formed from;
-    ``jacobian_fn(y)`` builds J at that iterate, and ``scale_fn(z, y)`` is the
-    largest row sum of the magnitudes of the terms of F(z), which sets the
-    rounding floor that ends a stalled line search.  The whole run is one
+    ``step_fn(F, y, max|F|)`` returns the Newton step -J^-1 F there, and
+    ``scale_fn(z, y)`` is the largest row sum of the magnitudes of the terms
+    of F(z), which sets its rounding floor.  When the full step is rejected,
+    z is accepted as converged at that floor if max|F(z)| is within it and
+    the step is below sqrt(eps)*max|z|; otherwise the line search halves the
+    step, and raises NonlinearSolveError if it stalls.  The whole run is one
     error state: f and f_y may overflow at the start or at a trial step, and
     the finiteness tests turn that into a rejected trial or a
     NonlinearSolveError.  Returns z, F(z) and y of the accepted iterate, the
@@ -214,7 +272,7 @@ def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
         for it in range(1, _NEWTON_MAXITER + 1):
             if fnorm <= _NEWTON_TOL:
                 return z, fval, y, it - 1, steps
-            step = _linear_step(jacobian_fn(y), -fval)
+            step = step_fn(fval, y, fnorm)
             t = 1.0
             for _ in range(_ARMIJO_HALVINGS + 1):
                 taken = step if t == 1.0 else t * step
@@ -223,11 +281,12 @@ def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
                 f_trial_norm = float(np.abs(f_trial).max())
                 if math.isfinite(f_trial_norm) and f_trial_norm <= (1.0 - 1e-4 * t) * fnorm:
                     break
+                if t == 1.0 and np.abs(step).max() <= _STEP_RTOL * np.abs(z).max():
+                    if fnorm <= _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y):
+                        return z, fval, y, it - 1, steps
                 t *= 0.5
             else:
                 floor = _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y)
-                if fnorm <= floor and np.abs(step).max() <= _STEP_RTOL * np.abs(z).max():
-                    return z, fval, y, it - 1, steps
                 raise NonlinearSolveError(
                     f"line search stalled at iteration {it} "
                     f"(residual {fnorm:.3e}, rounding floor {floor:.3e})"
@@ -242,11 +301,11 @@ def _damped_newton(residual_fn, jacobian_fn, scale_fn, z0: np.ndarray):
 
 
 def _newton_start(spec: ProblemSpec, ops: IntegrationOperators):
-    """(seed degree, z0): from n = 8 * _COARSE_N on, the degree-_COARSE_N
+    """(seed degree, z0): from n = _FINE_N on, the degree-_COARSE_N
     solution on the nodes of ``ops``; below that, or if it fails, (None,
     (0, y0*)) with y0* the y(0) that meets the border row at Phi = 0."""
     m = ops.nodes.size
-    if m - 1 >= 8 * _COARSE_N:
+    if m - 1 >= _FINE_N:
         coarse_ops = build_operators(BasisConfig(ops.shifted.alpha, _COARSE_N), spec.b)
         try:
             coarse = solve(spec, coarse_ops)
@@ -286,9 +345,6 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
 
         def f(_, y):
             return pvals * y - gvals
-
-        def dfdy(_, y):
-            return pvals
     elif spec.dfdy is None:  # there is no difference-quotient fallback
         raise NonlinearSolveError("nonlinear problems require dfdy = f_y for the Jacobian")
     else:
@@ -312,20 +368,49 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         fz[m] = top @ phi + beta * z[m] + border
         return fz, y
 
-    jac = np.empty((m + 1, m + 1))
-    jac[m, :m] = top
-    jac[m, m] = beta
-
-    def jacobian(y):
-        # [[H + f_y * Q2, f_y], border row], overwriting the one J of this solve.
+    def finite_fy(y):
         fy = dfdy(x, y)
         finite = np.isfinite(fy)
         if not finite.all():
             raise NonlinearSolveError(f"f_y not finite at x = {float(x[~finite][0]):.17g}")
+        return fy
+
+    jac = np.empty((m + 1, m + 1))  # its pages are touched only when J is formed
+
+    def jacobian(fy):
+        # [[H + f_y * Q2, f_y], border row], overwriting the one J of this solve.
         np.multiply(fy[:, None], q2, out=jac[:m, :m])
         jac[:m, :m] += h
         jac[:m, m] = fy
+        jac[m, :m] = top
+        jac[m, m] = beta
         return jac
+
+    def lu_step(fz, y, _):
+        return _linear_step(jacobian(finite_fy(y)), -fz)
+
+    def krylov_step(fz, y, fnorm):
+        # Matrix-free J v = (H v_Phi + f_y (Q2 v_Phi + v_y0), top v_Phi + beta v_y0),
+        # solved to the inexact-Newton forcing term (Eisenstat & Walker, SIAM J.
+        # Sci. Comput. 17, 1996); a step GMRES misses within its cap takes LU.
+        # Q2[i, k] = (x_i - x_k) Q1[i, k], so H v_Phi and Q2 v_Phi come from
+        # one product of Q1 with the two columns (v_Phi, x v_Phi).
+        fy = finite_fy(y)
+
+        def jvp(v, out):
+            phi, rows = v[:m], out[:m]
+            q1phi, q1xphi = (q1 @ np.stack((phi, x * phi), axis=1)).T
+            np.multiply(x, q1phi, out=rows)
+            rows -= q1xphi  # Q2 v_Phi
+            rows += v[m]
+            rows *= fy
+            rows += phi
+            rows += a2x * q1phi  # H v_Phi = v_Phi + a2 Q1 v_Phi / x
+            out[m] = top @ phi + beta * v[m]
+
+        eta = min(0.1, max(1e-10, 0.1 * _NEWTON_TOL / fnorm))
+        step = _gmres(jvp, -fz, eta, basis)
+        return _linear_step(jacobian(fy), -fz) if step is None else step
 
     def scale(z, y):
         rows = np.abs(h) @ np.abs(z[:m]) + np.abs(f(x, y)) + np.abs(sing)
@@ -334,12 +419,15 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
 
     if spec.kind == "linear":
         fz, y = residual(np.zeros(m + 1))
-        z, kappa = _step_and_condition(jacobian(y), -fz)
+        z, kappa = _step_and_condition(jacobian(pvals), -fz)
         fz, y = residual(z)
         diag = {"kappa_inf": kappa}
     else:
         seed_degree, z0 = _newton_start(spec, ops)
-        z, fz, y, iters, steps = _damped_newton(residual, jacobian, scale, z0)
+        step = lu_step
+        if m - 1 >= _FINE_N:  # one Krylov workspace for the run
+            basis, a2x, step = np.empty((_GMRES_MAXITER + 1, m + 1)), spec.alpha2 / x, krylov_step
+        z, fz, y, iters, steps = _damped_newton(residual, step, scale, z0)
         diag = {"newton_iters": iters, "step_norms": tuple(steps), "seed_degree": seed_degree}
 
     phi = z[:m]

@@ -39,18 +39,16 @@ class TestRobinBranch:
 
     def test_two_solution_recoveries_agree(self):
         """y at the nodes is y0 + a1 x + Q2 Phi bit for bit: the reported y
-        is the accepted iterate's, also after grid sequencing (n = 256) and
-        after a line search that rejected a trial step (alpha = 5)."""
-        for ex_id, n, alpha, halvings in ((1, 5, 0.1, None), (2, 256, 0.5, None),
-                                          (2, 32, 5.0, 1)):
-            spec, calls = _counting(get_example(ex_id).spec, ("f",))
+        is the accepted iterate's, also after grid sequencing and Krylov
+        steps (n = 256), after a line search that halved steps (the stiff
+        source) and after a rejected full step at the rounding floor
+        (alpha = 5)."""
+        for spec, n, alpha in ((get_example(1).spec, 5, 0.1), (get_example(2).spec, 256, 0.5),
+                               (get_example(2).spec, 32, 5.0), (_stiff_source(), 16, 0.5)):
             ops = build_operators(BasisConfig(alpha, n), spec.b)
             r = solve(spec, ops)
             rebuilt = r.y0 + spec.alpha1 * r.nodes + ops.q2_shifted @ r.phi
             assert np.array_equal(r.y_nodes, rebuilt)
-            if halvings is not None:
-                # One f call at the start and one per trial step.
-                assert calls["f"] == r.newton_iters + 1 + halvings
 
     def test_endpoint_value_is_structural_for_dirichlet_data(self):
         """With gamma = 0 the right-endpoint value is delta/beta to the rounding
@@ -93,6 +91,16 @@ class TestRobinBranch:
         assert np.max(np.abs(lin.y_nodes - (lin.nodes**2 - 2.0))) <= 1e-12
         assert np.max(np.abs(lin.y_nodes - nl.y_nodes)) <= 1e-12
         assert abs(lin.y0 - nl.y0) <= 1e-12
+
+
+def _stiff_source():
+    """y = 2 - x^2 solves y'' + y'/x + e^(2y) - e^(2(2 - x^2)) + 4 = 0 with
+    y'(0) = 0; from the start y = 1 the first full Newton steps overshoot
+    by far more than the rounding floor."""
+    return ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=1.0, gamma=0.0,
+                       delta=1.0, b=1.0,
+                       f=lambda x, y: np.exp(2.0 * y) - np.exp(2.0 * (2.0 - x**2)) + 4.0,
+                       dfdy=lambda x, y: 2.0 * np.exp(2.0 * y))
 
 
 def _counting(spec, names) -> tuple[ProblemSpec, dict]:
@@ -290,8 +298,8 @@ class TestNewton:
     @pytest.mark.parametrize("ex_id,n,alpha", [(2, 64, 5.0), (4, 64, 5.0), (4, 96, 3.0),
                                                (2, 256, 3.0)])
     def test_stall_at_the_rounding_floor_converges(self, ex_id, n, alpha):
-        # The line search stalls with max|F| above _NEWTON_TOL but within the
-        # rounding level of evaluating F, and with a roundoff-sized step.
+        # The full step is rejected with max|F| above _NEWTON_TOL but within
+        # the rounding level of evaluating F, and with a roundoff-sized step.
         case = get_example(ex_id)
         r = solve_problem(case.spec, n, alpha)
         assert r.newton_iters == len(r.step_norms)
@@ -303,6 +311,44 @@ class TestNewton:
     def test_stall_above_the_rounding_floor_raises(self, ex_id, n, alpha):
         with pytest.raises(NonlinearSolveError, match="line search stalled.*rounding floor"):
             solve_problem(get_example(ex_id).spec, n, alpha)
+
+    def test_halved_steps_cost_one_f_call_each(self):
+        # The stiff source halves two full steps far above the rounding floor,
+        # where the floor test does not evaluate f: one f call at the start
+        # and one per trial step.
+        spec, calls = _counting(_stiff_source(), ("f",))
+        r = solve_problem(spec, 16, 0.5)
+        assert calls["f"] == r.newton_iters + 1 + 2
+        assert np.max(np.abs(r.y_nodes - (2.0 - r.nodes**2))) <= 1e-14
+
+    def test_rejected_full_step_at_the_rounding_floor_ends_the_run(self):
+        """Example 2 at alpha = 5, n = 32 rejects its fifth full step at the
+        rounding floor and returns the fourth iterate without halving it:
+        f is called at the start, for 4 accepted steps, for the rejected
+        step and once by the floor's scale."""
+        case = get_example(2)
+        spec, calls = _counting(case.spec, ("f",))
+        r = solve_problem(spec, 32, 5.0)
+        assert r.newton_iters == 4 and calls["f"] == 7
+        assert np.max(np.abs(r.y_nodes - case.exact(r.nodes))) <= 1e-13
+
+    @pytest.mark.parametrize("ex_id", [2, 4])
+    def test_no_line_search_below_the_rounding_floor(self, ex_id):
+        # At alpha = 2, n = 512 a line search run on below the rounding floor
+        # halves about 30 times: 42 and 44 f calls for 3 iterations.
+        spec, calls = _counting(get_example(ex_id).spec, ("f",))
+        solve_problem(spec, 512, 2.0)
+        assert calls["f"] <= 12
+
+    def test_start_at_the_root_takes_no_roundoff_steps(self):
+        # Example 4 at alpha = 3, n = 512 starts near the root from the coarse
+        # run.  Roundoff-sized steps from there (4 fine iterations, 20 from a
+        # nearer start) reach a lattice MAE of 2.63e-13 and no lower.
+        case = get_example(4)
+        r = solve_problem(case.spec, 512, 3.0)
+        lattice = case.lattice()
+        assert r.newton_iters <= 2
+        assert np.max(np.abs(r.evaluate(lattice) - case.exact(lattice))) <= 2.65e-13
 
     def test_overflowing_trial_step_raises_without_warning(self):
         # Spherical Bratu past its fold near lambda = 3.32: a trial step
@@ -437,6 +483,63 @@ class TestCoarseStart:
             solver.solve_problem(spec, 256, 0.5)
         assert degrees == [256, 32]
         assert sizes[0] == 33 and sizes[-1] == 257  # the error is the fine run's
+
+
+class TestKrylovStep:
+    """From n = 256 on, fine Newton steps come from matrix-free GMRES."""
+
+    @pytest.mark.parametrize("beta,gamma", [(2.0, 1.0), (0.0, 1.0)], ids=["robin", "neumann"])
+    def test_matrix_free_product_is_the_jacobian(self, monkeypatch, beta, gamma):
+        # f = p y - g is affine in y, so its J is the linear spec's J.
+        linear = ProblemSpec(kind="linear", alpha1=0.5, alpha2=1.5, beta=beta, gamma=gamma,
+                             delta=1.0, b=1.3, p=lambda x: 1.0 + x**2, g=lambda x: np.cos(x))
+        spec = ProblemSpec(kind="nonlinear", alpha1=0.5, alpha2=1.5, beta=beta, gamma=gamma,
+                           delta=1.0, b=1.3, f=lambda x, y: (1.0 + x**2) * y - np.cos(x),
+                           dfdy=lambda x, y: 1.0 + x**2)
+        products = []
+
+        def recording(matvec, *args):
+            products.append(matvec)
+            return gmres(matvec, *args)
+
+        gmres = solver._gmres
+        monkeypatch.setattr(solver, "_gmres", recording)
+        ops = build_operators(BasisConfig(0.5, 256), spec.b)
+        solve(spec, ops)
+        jac = _rebuilt_jacobian(linear, ops)
+        rng = np.random.default_rng(7)
+        assert products
+        for v in rng.standard_normal((3, jac.shape[0])):
+            out = np.empty_like(v)
+            products[0](v, out)
+            expected = jac @ v
+            assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_only_the_coarse_run_factors_a_matrix(self, monkeypatch):
+        spec = get_example(2).spec
+        coarse = solve_problem(spec, 32, 0.5).newton_iters
+        calls = _count_linalg(monkeypatch)
+        r = solve_problem(spec, 512, 0.5)
+        assert r.newton_iters >= 1 and r.seed_degree == 32
+        assert calls == {"solve": coarse, "inv": 0, "lstsq": 0}
+
+    def test_a_missed_cap_falls_back_to_lu(self, monkeypatch):
+        case = get_example(4)
+        coarse = solve_problem(case.spec, 32, 0.5).newton_iters
+        monkeypatch.setattr(solver, "_GMRES_MAXITER", 1)
+        calls = _count_linalg(monkeypatch)
+        r = solve_problem(case.spec, 256, 0.5)
+        assert r.newton_iters >= 1
+        assert calls["solve"] == coarse + r.newton_iters
+        assert np.max(np.abs(r.y_nodes - case.exact(r.nodes))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
+    @pytest.mark.parametrize("ex_id", [2, 4, 5])
+    def test_reaches_the_exact_solution(self, ex_id, alpha, n):
+        case = get_example(ex_id)
+        r = solve_problem(case.spec, n, alpha)
+        assert np.max(np.abs(r.y_nodes - case.exact(r.nodes))) <= 1e-12
 
 
 class TestResidual:
