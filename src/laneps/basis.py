@@ -19,7 +19,9 @@ values-only one at the Golub–Welsch nodes for the polish, whose q_n' comes
 from the last three values by a derivative identity, and one with slopes at
 the polished nodes (``node_table``), whose table of G_0 .. G_{n+1} the
 Christoffel weights and Q1 read and whose recurrence q_n' gives the
-barycentric weights.
+barycentric weights.  The squared norms lambda_j, which both the weights
+and Q1 divide by, come from one ratio recurrence (``_squared_norms``), and
+the weights are the Christoffel numbers 1 / sum_j G_j(x_k)^2 / lambda_j.
 """
 from __future__ import annotations
 
@@ -73,8 +75,9 @@ class NodeSet:
     """Collocation nodes with quadrature weights on a fixed interval.
 
     nodes are strictly descending, starting at the right endpoint of
-    ``interval``.  ``weights`` are the Gauss-Radau Christoffel weights against
-    the Gegenbauer weight function.  ``bary`` are the barycentric
+    ``interval``.  ``weights`` are the Gauss-Radau weights against the
+    Gegenbauer weight function, the Christoffel numbers of the nodes.
+    ``bary`` are the barycentric
     interpolation weights 1/q_n'(x_k) of the standard nodes: the nodes are the
     n+1 roots of q_n, and an affine map scales every weight by one factor,
     which cancels in the barycentric formula.
@@ -187,26 +190,22 @@ def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
     return _recurrence(alpha, n + 1, x)[1:]
 
 
-def _squared_norms(alpha: float, degrees) -> list[float]:
-    """Squared weighted L2 norms lambda_j of G_j on [-1, 1], for each j of ``degrees``.
+def _squared_norms(alpha: float, n: int) -> np.ndarray:
+    """Squared weighted L2 norms lambda_0 .. lambda_n of G_0 .. G_n on [-1, 1].
 
-    For j >= 1 this is 2^(2a-1) j! Gamma(a+1/2)^2 / ((j+a) Gamma(j+2a)); the
-    j = 0 value is computed from the equivalent form
-    2^(2a) Gamma(a+1/2)^2 / Gamma(2a+1), which stays well-defined for a < 0
-    and reduces to pi at a = 0 (returned exactly).  The terms that depend on
-    alpha alone are formed once.
+    lambda_0 = 2^(2a) Gamma(a+1/2)^2 / Gamma(2a+1), exactly pi at a = 0.
+    The rest are the ratios of lambda_j = 2^(2a-1) j! Gamma(a+1/2)^2 /
+    ((j+a) Gamma(j+2a)), multiplied out by one cumulative product:
+    lambda_1 = lambda_0 / (2 (1+a)) and, for j >= 2,
+
+        lambda_j = lambda_{j-1} j (j-1+a) / ((j+a) (j-1+2a)).
     """
-    head = (2 * alpha - 1) * math.log(2)
-    gammas = 2 * math.lgamma(alpha + 0.5)
-    norms = []
-    for j in degrees:
-        if j == 0:
-            norms.append(math.pi if alpha == 0.0 else math.exp(
-                2 * alpha * math.log(2) + gammas - math.lgamma(2 * alpha + 1)))
-        else:
-            norms.append(math.exp(head + math.lgamma(j + 1) + gammas - math.log(j + alpha)
-                                  - math.lgamma(j + 2 * alpha)))
-    return norms
+    head = math.pi if alpha == 0.0 else math.exp(
+        2 * alpha * math.log(2) + 2 * math.lgamma(alpha + 0.5) - math.lgamma(2 * alpha + 1))
+    j = np.arange(2.0, n + 1)
+    ratios = np.concatenate(([head, 1 / (2 * (1 + alpha))],
+                             j * (j - 1 + alpha) / ((j + alpha) * (j - 1 + 2 * alpha))))
+    return np.cumprod(ratios[:n + 1])
 
 
 def _golub_welsch(alpha: float, n: int) -> np.ndarray:
@@ -246,24 +245,18 @@ def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
     return nodes
 
 
-def christoffel_weights(cfg: BasisConfig, nodes: np.ndarray, g_n: np.ndarray) -> np.ndarray:
+def christoffel_weights(cfg: BasisConfig, g: np.ndarray) -> np.ndarray:
     """Gauss-Radau quadrature weights against the Gegenbauer weight function.
 
-    ``g_n`` holds G_n at the nodes.  The rule integrates polynomials of
-    degree <= 2n exactly; the fixed endpoint's weight carries the extra
-    factor a + 1/2.
+    ``g`` is the table of ``node_table``; its rows 0 .. n give the Christoffel
+    numbers w_k = 1 / sum_{j<=n} G_j(x_k)^2 / lambda_j (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, 2004, section 1.4).  The
+    nodes are the zeros of the quasi-orthogonal q_n, so these are the weights
+    of the rule, the endpoint's included, and it integrates polynomials of
+    degree <= 2n exactly.
     """
-    alpha, n = cfg.alpha, cfg.n
-    scale = math.exp(
-        (2 * alpha - 1) * math.log(2)
-        + 2 * math.lgamma(alpha + 0.5)
-        + math.lgamma(n + 1)
-        - math.log(n + alpha + 0.5)
-        - math.lgamma(n + 2 * alpha + 1)
-    )
-    weights = scale * (1.0 + nodes) / g_n**2
-    weights[0] *= alpha + 0.5
-    return weights
+    rows = g[:cfg.n + 1]
+    return 1.0 / np.einsum("jk,jk,j->k", rows, rows, 1.0 / _squared_norms(cfg.alpha, cfg.n))
 
 
 def node_table(cfg: BasisConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -283,8 +276,7 @@ def standard_nodeset(cfg: BasisConfig, *,
     """
     g, slope = node_table(cfg) if table is None else table
     nodes = g[1].copy()  # a view would keep the whole table alive in the memo
-    weights = christoffel_weights(cfg, nodes, g[cfg.n])
-    return NodeSet(cfg.alpha, cfg.n, nodes, weights, 1.0 / slope, (-1.0, 1.0))
+    return NodeSet(cfg.alpha, cfg.n, nodes, christoffel_weights(cfg, g), 1.0 / slope, (-1.0, 1.0))
 
 
 def shift_nodeset(nodeset: NodeSet, b: float) -> NodeSet:

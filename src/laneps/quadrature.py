@@ -84,12 +84,13 @@ def build_q1(nodeset: NodeSet, *, table: np.ndarray) -> np.ndarray:
     Entry (i, k) is the weight multiplying f(x_k) in the approximation of the
     integral of f from -1 to x_i: the interpolant of f in the basis is
     integrated term by term, so Q1 = I^T (G / lambda) diag(w) with
-    G[j, k] = G_j(x_k), lambda_j the squared norm of G_j and I[j, i] the
-    antiderivative of G_j at x_i.  ``table`` is the G table of ``node_table``.
+    G[j, k] = G_j(x_k), lambda_j the squared norm of G_j (from the ratio
+    recurrence that the weights read too) and I[j, i] the antiderivative of
+    G_j at x_i.  ``table`` is the G table of ``node_table``.
     """
     if nodeset.interval != (-1.0, 1.0):
         raise ValueError("build_q1 expects a standard [-1, 1] nodeset")
-    lambdas = np.array(_squared_norms(nodeset.alpha, range(nodeset.n + 1)))
+    lambdas = _squared_norms(nodeset.alpha, nodeset.n)
     anti = _antiderivatives(nodeset.alpha, table)
     q1 = anti.T @ (table[:-1] / lambdas[:, None])
     q1 *= nodeset.weights

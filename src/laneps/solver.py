@@ -77,8 +77,9 @@ __all__ = [
 _NEWTON_TOL = 1e-13
 _NEWTON_MAXITER = 200
 _ARMIJO_HALVINGS = 30
-#: A stalled line search converged if max|F| <= _FLOOR_FACTOR * eps * (largest
-#: row of |terms| of F) and max|step| <= _STEP_RTOL * max|z|.
+#: A rejected full step ends the run at the current iterate if max|F| <=
+#: _FLOOR_FACTOR * eps * (largest row of |terms| of F) and max|step| <=
+#: _STEP_RTOL * max|z|; otherwise the line search halves it.
 _FLOOR_FACTOR = 4.0
 _STEP_RTOL = math.sqrt(np.finfo(float).eps)
 #: A nonlinear solve at n >= _FINE_N = 8 * _COARSE_N starts Newton from the

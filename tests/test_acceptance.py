@@ -125,7 +125,7 @@ def test_criterion_08_discrete_orthonormality_and_node_structure():
         for n in range(1, 21):
             ns = standard_nodeset(BasisConfig(alpha, n))
             g = _recurrence(alpha, n, ns.nodes)[0]
-            lambdas = np.array(_squared_norms(alpha, range(n + 1)))
+            lambdas = _squared_norms(alpha, n)
             gram = (g * ns.weights[None, :]) @ g.T / lambdas[:, None]
             worst = max(worst, float(np.max(np.abs(gram - np.eye(n + 1)))))
             assert np.all(ns.weights > 0.0)

@@ -187,18 +187,35 @@ class TestEvaluation:
 
 class TestScaleFactors:
     def test_chebyshev_normalization(self):
-        lambdas = _squared_norms(0.0, (0, 1, 3, 8))
+        lambdas = _squared_norms(0.0, 8)
         assert lambdas[0] == math.pi
-        assert lambdas[1:] == pytest.approx([math.pi / 2.0] * 3, rel=1e-13)
+        assert lambdas[1:] == pytest.approx([math.pi / 2.0] * 8, rel=1e-13)
 
     def test_legendre_normalization(self):
-        degrees = (0, 2, 4, 9)
-        expected = [2.0 / (2 * k + 1) for k in degrees]
-        assert _squared_norms(0.5, degrees) == pytest.approx(expected, rel=1e-13)
+        expected = [2.0 / (2 * k + 1) for k in range(10)]
+        assert _squared_norms(0.5, 9) == pytest.approx(expected, rel=1e-13)
 
     @given(alpha=alphas, m=st.integers(min_value=0, max_value=10))
     def test_normalization_positive(self, alpha, m):
-        assert _squared_norms(alpha, (m,))[0] > 0.0
+        lambdas = _squared_norms(alpha, m)
+        assert lambdas.shape == (m + 1,)
+        assert np.all(lambdas > 0.0)
+
+    @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.0, 0.5, 2.0, 5.0, 10.0, 20.0])
+    def test_matches_mpmath_to_degree_512(self, alpha):
+        """lambda_j = 2^(2a-1) j! Gamma(a+1/2)^2 / ((j+a) Gamma(j+2a)) at 40 digits, j >= 1,
+        and lambda_0 = 2^(2a) Gamma(a+1/2)^2 / Gamma(2a+1)."""
+        lambdas = _squared_norms(alpha, 512)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            gammas = mpmath.gamma(a + 0.5) ** 2
+            for j in range(513):
+                if j == 0:
+                    exact = 2 ** (2 * a) * gammas / mpmath.gamma(2 * a + 1)
+                else:
+                    exact = (2 ** (2 * a - 1) * mpmath.factorial(j) * gammas
+                             / ((j + a) * mpmath.gamma(j + 2 * a)))
+                assert abs(float((lambdas[j] - exact) / exact)) <= 5e-14
 
 
 class TestNodes:
@@ -278,12 +295,12 @@ class TestWeights:
         """sum_j w_j G_k(x_j) G_l(x_j) = lambda_k delta_kl for k + l <= 2n."""
         ns = standard_nodeset(BasisConfig(alpha, n))
         g = _recurrence(alpha, n, ns.nodes)[0]
-        lambdas = np.array(_squared_norms(alpha, range(n + 1)))
+        lambdas = _squared_norms(alpha, n)
         gram = (g * ns.weights[None, :]) @ g.T / lambdas[:, None]
         assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-10
 
-    @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
-    @pytest.mark.parametrize("n", [3, 7])
+    @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.5, 2.0])
+    @pytest.mark.parametrize("n", [3, 7, 128])
     def test_rule_exact_to_degree_2n(self, alpha, n):
         """Weighted moments of x^k match the closed form for k <= 2n.
 

@@ -90,6 +90,16 @@ class TestFirstOrderOperator:
         standard = build_q1(standard_nodeset(cfg), table=node_table(cfg)[0])
         assert np.all(ops.q1_shifted == standard)
 
+    @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.5, 2.0])
+    @pytest.mark.parametrize("n", [32, 128, 512])
+    def test_standard_matrix_integrates_low_powers_to_rounding(self, alpha, n):
+        """Q1 x^k = (x^(k+1) + (-1)^k) / (k+1) at the standard nodes for k <= 8."""
+        standard, q1 = quadrature._standard_basis(BasisConfig(alpha, n))
+        x = standard.nodes
+        for k in range(9):
+            exact = (x ** (k + 1) + (-1) ** k) / (k + 1)
+            assert np.max(np.abs(q1 @ x**k - exact)) <= 5e-14
+
 
 class TestSecondOrderOperator:
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
