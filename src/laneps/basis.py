@@ -19,9 +19,7 @@ values-only one at the Golub–Welsch nodes for the polish, whose q_n' comes
 from the last three values by a derivative identity, and one with slopes at
 the polished nodes (``node_table``), whose table of G_0 .. G_{n+1} the
 Christoffel weights and Q1 read and whose recurrence q_n' gives the
-barycentric weights.  The squared norms lambda_j, which both the weights
-and Q1 divide by, come from one ratio recurrence (``_squared_norms``), and
-the weights are the Christoffel numbers 1 / sum_j G_j(x_k)^2 / lambda_j.
+barycentric weights.
 """
 from __future__ import annotations
 
@@ -198,13 +196,13 @@ def _squared_norms(alpha: float, n: int) -> np.ndarray:
     ((j+a) Gamma(j+2a)), multiplied out by one cumulative product:
     lambda_1 = lambda_0 / (2 (1+a)) and, for j >= 2,
 
-        lambda_j = lambda_{j-1} j (j-1+a) / ((j+a) (j-1+2a)).
+        lambda_j = lambda_{j-1} (j / (j+a)) ((j-1+a) / (j-1+2a)).
     """
     head = math.pi if alpha == 0.0 else math.exp(
         2 * alpha * math.log(2) + 2 * math.lgamma(alpha + 0.5) - math.lgamma(2 * alpha + 1))
     j = np.arange(2.0, n + 1)
     ratios = np.concatenate(([head, 1 / (2 * (1 + alpha))],
-                             j * (j - 1 + alpha) / ((j + alpha) * (j - 1 + 2 * alpha))))
+                             (j / (j + alpha)) * ((j - 1 + alpha) / (j - 1 + 2 * alpha))))
     return np.cumprod(ratios[:n + 1])
 
 

@@ -321,18 +321,15 @@ class TestNewton:
         assert calls["f"] == r.newton_iters + 1 + 2
         assert np.max(np.abs(r.y_nodes - (2.0 - r.nodes**2))) <= 1e-14
 
-    def test_rejected_full_step_at_the_rounding_floor_ends_the_run(self, monkeypatch):
-        """With no tolerance to stop it, example 2 at alpha = 5, n = 32 runs
-        Newton down to the rounding floor, rejects the next full step there
-        and returns the last iterate without halving it: f is called at the
-        start, for each accepted step, for the rejected step and once by the
-        floor's scale.  Whether the default tolerance stops the run first is
-        decided by rounding."""
-        monkeypatch.setattr(solver, "_NEWTON_TOL", 0.0)
+    def test_rejected_full_step_at_the_rounding_floor_ends_the_run(self):
+        """Example 2 at alpha = 5, n = 32 rejects its fifth full step at the
+        rounding floor and returns the fourth iterate without halving it:
+        f is called at the start, for 4 accepted steps, for the rejected
+        step and once by the floor's scale."""
         case = get_example(2)
         spec, calls = _counting(case.spec, ("f",))
         r = solve_problem(spec, 32, 5.0)
-        assert r.newton_iters <= 6 and calls["f"] == r.newton_iters + 3
+        assert r.newton_iters == 4 and calls["f"] == 7
         assert np.max(np.abs(r.y_nodes - case.exact(r.nodes))) <= 1e-13
 
     @pytest.mark.parametrize("ex_id", [2, 4])
