@@ -10,16 +10,15 @@ a = 0 gives the Chebyshev polynomials of the first kind and a = 1/2 the
 Legendre polynomials.  Collocation uses the right-endpoint Gauss-Radau points:
 x = 1 together with the n roots of q_n = G_{n+1} - G_n, computed as Golub–Welsch
 eigenvalues of the Jacobi matrix, one Newton polish.  One private pass of the
-recurrence yields the values G_0 .. G_m with their derivatives, or the last
-values alone, and every evaluation goes through it; it forms the products
-2 (k + a) x of 32 degrees at a time by one outer product and hands numpy its
-per-degree scalars as 0-d arrays, so each degree step makes four numpy calls
-without slopes and seven with them.  A standard basis makes two passes: a
-values-only one at the Golub–Welsch nodes for the polish, whose q_n' comes
-from the last three values by a derivative identity, and one with slopes at
-the polished nodes (``node_table``), whose table of G_0 .. G_{n+1} the
-Christoffel weights and Q1 read and whose recurrence q_n' gives the
-barycentric weights.
+recurrence yields the values G_0 .. G_m, or the last three alone, and every
+evaluation goes through it; it forms the products 2 (k + a) x of 32 degrees
+at a time by one outer product and hands numpy its per-degree scalars as 0-d
+arrays, so each degree step makes four numpy calls.  A standard basis makes
+two passes: one for the last three values at the Golub–Welsch nodes, from
+which the polish takes q_n' by a derivative identity, and one for the table
+of G_0 .. G_{n+1} at the polished nodes (``node_table``), which the
+Christoffel weights and Q1 read.  The barycentric weights 1/q_n' come from
+that table and the Christoffel weights by the Christoffel–Darboux formula.
 """
 from __future__ import annotations
 
@@ -75,10 +74,11 @@ class NodeSet:
     nodes are strictly descending, starting at the right endpoint of
     ``interval``.  ``weights`` are the Gauss-Radau weights against the
     Gegenbauer weight function, the Christoffel numbers of the nodes.
-    ``bary`` are the barycentric
-    interpolation weights 1/q_n'(x_k) of the standard nodes: the nodes are the
-    n+1 roots of q_n, and an affine map scales every weight by one factor,
-    which cancels in the barycentric formula.
+    ``bary`` are the barycentric interpolation weights 1/q_n'(x_k) of the
+    standard nodes, which the Christoffel–Darboux formula reads off the
+    Christoffel numbers: the nodes are the n+1 roots of q_n, and an affine
+    map scales every weight by one factor, which cancels in the barycentric
+    formula.
     """
 
     alpha: float
@@ -98,94 +98,51 @@ def _scalars(values: np.ndarray) -> list[np.ndarray]:
     return [values[j, ...] for j in range(values.size)]
 
 
-def _recurrence(alpha: float, m: int, x, slopes: bool = True
-                ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """One pass of the recurrence to degree m at x: (G_0 .. G_m, G_m - G_{m-1}, G_m' - G_{m-1}').
+def _recurrence(alpha: float, m: int, x, table: bool = True) -> np.ndarray:
+    """G_0 .. G_m at x by one pass of the recurrence, or G_{m-2}, G_{m-1}, G_m alone.
 
-    The table has shape (m+1,) + shape(x); the differences have the shape of
-    x.  Each degree step advances the stacked pair (G_k, G_k') by the
-    recurrence and its derivative
-
-        (k + 2a) G'_{k+1} = 2 (k + a) (G_k + x G'_k) - k G'_{k-1},
-
-    sharing the product by (c_k x, x), c_k = 2 (k + a), the k-multiple of
-    the previous pair, the subtraction and the division between the two rows.
-    The products c_k x of _BLOCK degrees at a time come from one outer
-    product into a buffer whose slope row holds x throughout, and k, c_k and
-    k + 2a are 0-d arrays made once per block, so a degree step makes seven
-    numpy calls with slopes and four without, none of which converts a Python
-    number.  Each row keeps the operations and their order of its own
-    recurrence, so both agree bit for bit with the two evaluated in separate
-    loops, one product c_k x per degree.  The pairs cycle through three rows,
-    so beside its table a pass allocates O(_BLOCK * size(x)).
-
-    Without ``slopes`` the pass is the values-only one of the node polish: it
-    drops the slope row and advances the values alone, with the same
-    operations, so G_m - G_{m-1} is the same bits, and it keeps no table,
-    since the polish reads only the last three values.  The table is then
-    None, and the slope difference comes from those three values by the
-    identity (1 - x^2) G_j' = j (G_{j-1} - x G_j) (Szego, Orthogonal
-    Polynomials, 1939, section 4.7), which loses digits near x = +-1 and is
-    undefined there: it is good for a Newton correction, not for 1/q_n'.
+    With ``table`` the result has shape (m+1,) + shape(x).  Without it the
+    rows cycle through a ring of three, and the result is the last three,
+    shape (3,) + shape(x), with G_{-2} = G_{-1} = 0: the node polish reads
+    only those, so it keeps no table.  The products c_k x, c_k = 2 (k + a),
+    of _BLOCK degrees at a time come from one outer product, and k and
+    k + 2a are 0-d arrays made once per block, so a degree step makes four
+    numpy calls, in place, none of which converts a Python number.  The
+    operations and their order are the textbook loop's, one product c_k x
+    per degree, so the values agree with it bit for bit.  Beside its result
+    a pass allocates O(_BLOCK * size(x)).
     """
     _check_alpha(alpha)
     _check_degree(m)
     x = np.asarray(x, dtype=float)
-    shape, x = x.shape, x.reshape(-1)  # 1-D, so that a pair row holds x
-    rows = 2 if slopes else 1  # (G_k, G_k'), or G_k alone
-    pairs = np.zeros((3, rows, x.size))  # G_k's pair in row k % 3; G_{-1} = G'_{-1} = 0
-    pairs[0, 0] = 1.0
+    shape, x = x.shape, x.reshape(-1)
+    out = np.zeros((m + 1 if table else 3, x.size))  # G_k in row k % len(out)
+    out[0] = 1.0
     if m >= 1:
-        pairs[1, 0], pairs[1, 1:] = x, 1.0
-    if slopes:
-        out = np.empty((m + 1, x.size))
-        out[:2] = pairs[:2, 0][:m + 1]  # G_0, and G_1 when m >= 1
-    factors = np.empty((min(_BLOCK, m), rows, x.size))  # (c_k x, x) for a block of steps
-    factors[:, 1:] = x
+        out[1] = x
+    factors = np.empty((min(_BLOCK, m), x.size))  # c_k x for a block of steps
+    views = list(factors)  # per-step views, built once
     k = np.arange(1.0, m)  # the degrees k = 1 .. m-1 that the steps advance from
     c, d = 2 * (k + alpha), k + 2 * alpha  # the bits of 2 * (k + alpha) and k + 2 * alpha
-    scaled = np.empty((rows, x.size))
-    views = list(factors)  # per-step views, built once
-    # the three rows as (pair, value row, slope row), rotated one place per step
-    prev, cur, nxt = zip(pairs, pairs[:, 0], pairs[:, -1])
+    scaled = np.empty(x.size)
+    source = out if table else list(out)  # the ring's three row views, made once
     for start in range(0, m - 1, _BLOCK):
         stop = min(start + _BLOCK, m - 1)
-        np.multiply.outer(c[start:stop], x, out=factors[:stop - start, 0])
-        # the block's scalars and table rows, made per block so that a pass
-        # holds O(_BLOCK) of these objects; each ufunc below takes its output
-        # positionally, which numpy parses faster than a keyword
+        np.multiply.outer(c[start:stop], x, out=factors[:stop - start])
+        # the block's scalars and rows G_start .. G_{stop+1}, made per block
+        # so that a pass holds O(_BLOCK) of these objects; each ufunc below
+        # takes its output positionally, which numpy parses faster than a
+        # keyword
         ks, ds = _scalars(k[start:stop]), _scalars(d[start:stop])
-        if slopes:
-            cs, table = _scalars(c[start:stop]), list(out[start + 2:stop + 2])
-        for j, factor in enumerate(views[:stop - start]):  # j: the step's place in its block
-            step, value, slope = nxt
-            np.multiply(cur[0], factor, step)  # (c x G_k, x G_k')
-            if slopes:
-                np.add(cur[1], slope, slope)  # G_k + x G_k'
-                np.multiply(cs[j], slope, slope)
-            np.multiply(ks[j], prev[0], scaled)
-            np.subtract(step, scaled, step)
-            np.divide(step, ds[j], step)
-            if slopes:
-                table[j][...] = value  # G_{k+1}
-            prev, cur, nxt = cur, nxt, prev
-    last, before = pairs[m % 3], pairs[(m - 1) % 3]
-    if slopes:
-        diff = (last - before).reshape((2,) + shape)
-        return out.reshape((m + 1,) + shape), diff[0], diff[1]
-    g_m, g_before, g_earlier = last[0], before[0], pairs[(m - 2) % 3, 0]
-    slope = (m * (g_before - x * g_m) - (m - 1) * (g_earlier - x * g_before)) / (1.0 - x * x)
-    return None, (g_m - g_before).reshape(shape), slope.reshape(shape)
-
-
-def node_polynomial(alpha: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate q_n = G_{n+1} - G_n and its derivative at x in one recurrence pass.
-
-    This is the reference evaluator of q_n and q_n', both from the recurrence;
-    the node polish no longer calls it.
-    """
-    _check_degree(n)
-    return _recurrence(alpha, n + 1, x)[1:]
+        rows = [source[i % len(out)] for i in range(start, stop + 2)]
+        for factor, kj, dj, prev, cur, nxt in zip(views, ks, ds, rows, rows[1:], rows[2:]):
+            np.multiply(cur, factor, nxt)  # c x G_k
+            np.multiply(kj, prev, scaled)
+            np.subtract(nxt, scaled, nxt)
+            np.divide(nxt, dj, nxt)  # G_{k+1}
+    if table:
+        return out.reshape((m + 1,) + shape)
+    return out[[(m - 2) % 3, (m - 1) % 3, m % 3]].reshape((3,) + shape)
 
 
 def _squared_norms(alpha: float, n: int) -> np.ndarray:
@@ -228,16 +185,19 @@ def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
     """Right-endpoint Gauss-Radau abscissas: 1 and the roots of q_n, descending.
 
     The interior roots are the Golub–Welsch eigenvalues after one Newton
-    polish on q_n.  The polish reads q_n' from a values-only pass: the
-    correction is a few ulps, so the digits its q_n' loses near +-1 do not
-    reach the nodes.
+    polish on q_n.  The polish reads G_{n-1}, G_n and G_{n+1} from the
+    ring of a values-only pass and q_n' from them by the identity
+    (1 - x^2) G_j' = j (G_{j-1} - x G_j) (Szego, Orthogonal Polynomials,
+    1939, section 4.7), which loses digits near +-1: the correction is a
+    few ulps, so those digits do not reach the nodes.
     """
     alpha, n = cfg.alpha, cfg.n
     if n == 0:
         return np.array([1.0])
     x = _golub_welsch(alpha, n)
-    _, q, qd = _recurrence(alpha, n + 1, x, False)
-    nodes = np.concatenate(([1.0], x - q / qd))
+    g_prev, g_n, g_next = _recurrence(alpha, n + 1, x, False)
+    slope = ((n + 1) * (g_n - x * g_next) - n * (g_prev - x * g_n)) / (1.0 - x * x)
+    nodes = np.concatenate(([1.0], x - (g_next - g_n) / slope))
     if not (np.all(np.diff(nodes) < 0) and nodes[-1] > -1.0):
         raise RootFindingError("computed nodes are not strictly descending in (-1, 1]")
     return nodes
@@ -257,24 +217,47 @@ def christoffel_weights(cfg: BasisConfig, g: np.ndarray) -> np.ndarray:
     return 1.0 / np.einsum("jk,jk,j->k", rows, rows, 1.0 / _squared_norms(cfg.alpha, cfg.n))
 
 
-def node_table(cfg: BasisConfig) -> tuple[np.ndarray, np.ndarray]:
-    """G_0 .. G_{n+1} and q_n' at the Gauss-Radau nodes, from one recurrence pass.
+def _barycentric_weights(cfg: BasisConfig, g: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """1/q_n'(x_k) from the table g of ``node_table`` and the Christoffel numbers.
+
+    The confluent Christoffel–Darboux formula (Szego, 1939, section 3.2)
+    reads K_n(x, x) = C (q_n' G_n - G_n' q_n) with
+    C = (n + 2a) / (2 (n + a) lambda_n), and K_n(x_k, x_k) = 1/w_k, so
+
+        1/q_n'(x_k) = G_n(x_k) / (1/(C w_k) + G_n'(x_k) q_n(x_k))
+
+    with G_n' from the identity of the polish.  The polished nodes leave q_n
+    a few ulps, not zero, so the last term stays, though its G_n' loses
+    digits near -1; without it the weights are off by up to 1.3e-8.  At
+    x = 1, where the identity is undefined, 1/q_n'(1) = (2a + 1)/(2n + 2a + 1).
+    """
+    alpha, n = cfg.alpha, cfg.n
+    x, g_prev, g_n, g_next = g[1, 1:], g[n - 1, 1:], g[n, 1:], g[n + 1, 1:]
+    slope = n * (g_prev - x * g_n) / (1.0 - x * x)
+    # n = 0 has no interior node, and C is 0/0 there at a = 0
+    c = (n + 2 * alpha) / (2 * (n + alpha) * _squared_norms(alpha, n)[n]) if n else 1.0
+    return np.concatenate(([(2 * alpha + 1) / (2 * n + 2 * alpha + 1)],
+                           g_n / (1.0 / (c * weights[1:]) + slope * (g_next - g_n))))
+
+
+def node_table(cfg: BasisConfig) -> np.ndarray:
+    """G_0 .. G_{n+1} at the Gauss-Radau nodes, from one recurrence pass.
 
     Row 1 of the table holds the nodes themselves.
     """
-    g, _, slope = _recurrence(cfg.alpha, cfg.n + 1, gauss_radau_nodes(cfg))
-    return g, slope
+    return _recurrence(cfg.alpha, cfg.n + 1, gauss_radau_nodes(cfg))
 
 
-def standard_nodeset(cfg: BasisConfig, *,
-                     table: tuple[np.ndarray, np.ndarray] | None = None) -> NodeSet:
+def standard_nodeset(cfg: BasisConfig, *, table: np.ndarray | None = None) -> NodeSet:
     """Nodes, weights and barycentric weights on [-1, 1], read from ``node_table(cfg)``.
 
-    A caller that has evaluated that pair already passes it as ``table``.
+    A caller that has evaluated that table already passes it as ``table``.
     """
-    g, slope = node_table(cfg) if table is None else table
+    g = node_table(cfg) if table is None else table
     nodes = g[1].copy()  # a view would keep the whole table alive in the memo
-    return NodeSet(cfg.alpha, cfg.n, nodes, christoffel_weights(cfg, g), 1.0 / slope, (-1.0, 1.0))
+    weights = christoffel_weights(cfg, g)
+    return NodeSet(cfg.alpha, cfg.n, nodes, weights, _barycentric_weights(cfg, g, weights),
+                   (-1.0, 1.0))
 
 
 def shift_nodeset(nodeset: NodeSet, b: float) -> NodeSet:

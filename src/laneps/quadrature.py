@@ -116,8 +116,8 @@ def shift_operators(q1: np.ndarray, standard: NodeSet, b: float) -> IntegrationO
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _standard_basis(cfg: BasisConfig) -> tuple[NodeSet, np.ndarray]:
     """The standard nodeset and its Q1, read from one node table, shared by every b."""
-    table, slope = node_table(cfg)
-    standard = standard_nodeset(cfg, table=(table, slope))
+    table = node_table(cfg)
+    standard = standard_nodeset(cfg, table=table)
     q1 = build_q1(standard, table=table)
     q1.setflags(write=False)
     return standard, q1

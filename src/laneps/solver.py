@@ -328,6 +328,9 @@ def _check_degree(n: int) -> None:
 
 def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     """Solve F(z) = 0 for z = (Phi, y0) (see the module docstring)."""
+    if ops.shifted.interval != (0.0, spec.b):
+        raise ValueError(f"operators on [0, {ops.shifted.interval[1]}] do not match the "
+                         f"problem's interval [0, {spec.b}]")
     x, q1 = ops.nodes, ops.q1_shifted
     m = x.size
     _check_degree(m - 1)

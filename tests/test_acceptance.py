@@ -124,7 +124,7 @@ def test_criterion_08_discrete_orthonormality_and_node_structure():
     for alpha in ALPHA_GRID:
         for n in range(1, 21):
             ns = standard_nodeset(BasisConfig(alpha, n))
-            g = _recurrence(alpha, n, ns.nodes)[0]
+            g = _recurrence(alpha, n, ns.nodes)
             lambdas = _squared_norms(alpha, n)
             gram = (g * ns.weights[None, :]) @ g.T / lambdas[:, None]
             worst = max(worst, float(np.max(np.abs(gram - np.eye(n + 1)))))
@@ -145,10 +145,10 @@ def test_criterion_09_antiderivative_oracle_equivalence():
     worst = 0.0
     for alpha in ALPHA_GRID:
         xs = rng.uniform(-1.0, 1.0, size=20)
-        rows = _antiderivatives(alpha, _recurrence(alpha, 25, xs)[0])
+        rows = _antiderivatives(alpha, _recurrence(alpha, 25, xs))
         for i, x in enumerate(xs):
             half = (x + 1.0) / 2.0
-            exact = half * _recurrence(alpha, 24, half * (t + 1.0) - 1.0)[0] @ w
+            exact = half * _recurrence(alpha, 24, half * (t + 1.0) - 1.0) @ w
             worst = max(worst, float(np.max(np.abs(rows[:, i] - exact))))
     ok = worst <= 1e-12
     _report(9, ok, f"worst deviation={worst:.3e}")

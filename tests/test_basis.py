@@ -16,7 +16,6 @@ from laneps.basis import (
     _squared_norms,
     christoffel_weights,
     gauss_radau_nodes,
-    node_polynomial,
     shift_nodeset,
     standard_nodeset,
 )
@@ -60,11 +59,24 @@ def _textbook_node_derivative(alpha, g):
     return d - d_prev
 
 
-def _textbook_identity_slope(m, g):
-    """G_m' - G_{m-1}' at x = g[1] from the table g by (1 - x^2) G_j' = j (G_{j-1} - x G_j)."""
-    x = g[1]
-    earlier = g[m - 2] if m >= 2 else 0.0  # G_{-1} = 0
-    return (m * (g[m - 1] - x * g[m]) - (m - 1) * (earlier - x * g[m - 1])) / (1.0 - x * x)
+def _node_polynomial(alpha, n, x):
+    """q_n = G_{n+1} - G_n and q_n' at x from the two textbook loops."""
+    g = _textbook_table(alpha, n + 1, x)
+    return g[n + 1] - g[n], _textbook_node_derivative(alpha, g)
+
+
+def _exact_bary(alpha, n, x):
+    """1/q_n'(x) by the recurrence and its derivative in 40-digit mpmath."""
+    out = []
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for t in map(mpmath.mpf, x):
+            g_prev, g, d_prev, d = mpmath.mpf(1), t, mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(1, n + 1):
+                g_prev, g, d_prev, d = (g, (2 * (k + a) * t * g - k * g_prev) / (k + 2 * a),
+                                        d, (2 * (k + a) * (g + t * d) - k * d_prev) / (k + 2 * a))
+            out.append(float(1 / (d - d_prev)))
+    return np.array(out)
 
 
 def _assert_close(computed, exact, n):
@@ -77,7 +89,7 @@ class TestEvaluation:
     @given(alpha=alphas, m=degrees, x=points)
     def test_three_term_recurrence(self, alpha, m, x):
         """(k + 2a) G_{k+1} = 2 (k + a) x G_k - k G_{k-1} for all rows."""
-        g = _recurrence(alpha, m, np.array([x]))[0][:, 0]
+        g = _recurrence(alpha, m, np.array([x]))[:, 0]
         for k in range(1, m):
             lhs = (k + 2.0 * alpha) * g[k + 1]
             rhs = 2.0 * (k + alpha) * x * g[k] - k * g[k - 1]
@@ -85,13 +97,13 @@ class TestEvaluation:
 
     @given(alpha=alphas, m=degrees)
     def test_unit_value_at_right_endpoint(self, alpha, m):
-        g = _recurrence(alpha, m, np.array([1.0]))[0]
+        g = _recurrence(alpha, m, np.array([1.0]))
         assert np.max(np.abs(g - 1.0)) <= 1e-13
 
     def test_chebyshev_special_case(self):
         """alpha = 0 reproduces Chebyshev polynomials of the first kind."""
         x = np.linspace(-1.0, 1.0, 41)
-        g = _recurrence(0.0, 8, x)[0]
+        g = _recurrence(0.0, 8, x)
         for k in range(9):
             t = np.polynomial.chebyshev.Chebyshev.basis(k)(x)
             assert np.max(np.abs(g[k] - t)) <= 1e-13
@@ -99,7 +111,7 @@ class TestEvaluation:
     def test_legendre_special_case(self):
         """alpha = 1/2 reproduces Legendre polynomials."""
         x = np.linspace(-1.0, 1.0, 41)
-        g = _recurrence(0.5, 8, x)[0]
+        g = _recurrence(0.5, 8, x)
         for k in range(9):
             p = np.polynomial.legendre.Legendre.basis(k)(x)
             assert np.max(np.abs(g[k] - p)) <= 1e-13
@@ -111,7 +123,7 @@ class TestEvaluation:
         With x = cos t, T_k(x) = cos(k t) and U_k(x) = sin((k+1) t) / sin t.
         """
         t = np.linspace(0.0, np.pi, 13)[1:-1]
-        q, qd = node_polynomial(0.0, n, np.cos(t))
+        q, qd = _node_polynomial(0.0, n, np.cos(t))
         _assert_close(q, np.cos((n + 1) * t) - np.cos(n * t), n)
         _assert_close(qd, ((n + 1) * np.sin((n + 1) * t) - n * np.sin(n * t)) / np.sin(t), n)
 
@@ -132,7 +144,7 @@ class TestEvaluation:
             points = [mpmath.mpf(t) for t in x]
             exact_q = np.array([float(q(t)) for t in points])
             exact_qd = np.array([float(mpmath.diff(q, t)) for t in points])
-        q_val, qd = node_polynomial(alpha, n, x)
+        q_val, qd = _node_polynomial(alpha, n, x)
         _assert_close(q_val, exact_q, n)
         _assert_close(qd, exact_qd, n)
 
@@ -141,39 +153,32 @@ class TestEvaluation:
     def test_one_pass_is_bit_identical_to_the_textbook_loops(self, alpha, m):
         rng = np.random.default_rng(m)
         for x in (0.3, np.linspace(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0, (2, 3))):
-            g = _textbook_table(alpha, m, x)
-            assert np.array_equal(_recurrence(alpha, m, x)[0], g)
-            if m >= 1:
-                q, qd = node_polynomial(alpha, m - 1, x)
-                assert np.array_equal(q, g[m] - g[m - 1])
-                assert np.array_equal(qd, _textbook_node_derivative(alpha, g))
+            assert np.array_equal(_recurrence(alpha, m, x), _textbook_table(alpha, m, x))
 
     @pytest.mark.parametrize("alpha", PASS_ALPHAS)
     @pytest.mark.parametrize("m", PASS_DEGREES)
     def test_values_only_pass_is_bit_identical_to_the_textbook_loop(self, alpha, m):
-        """At arbitrary points inside (-1, 1), not only at Golub–Welsch nodes."""
+        """The ring returns the last three rows of the table, G_{-1} = 0 included."""
         rng = np.random.default_rng(m)
         for x in (0.3, np.linspace(-0.9, 0.9, 7), rng.uniform(-0.99, 0.99, (2, 3))):
             g = _textbook_table(alpha, m, x)
-            table, q, qd = _recurrence(alpha, m, x, False)
-            assert table is None
-            assert q.shape == qd.shape == np.shape(x)
-            assert np.array_equal(q, g[m] - g[m - 1])
-            assert np.array_equal(qd, _textbook_identity_slope(m, g))
+            last = np.concatenate((np.zeros((2,) + np.shape(x)), g))[-3:]
+            ring = _recurrence(alpha, m, x, False)
+            assert ring.shape == (3,) + np.shape(x)
+            assert np.array_equal(ring, last)
 
     @pytest.mark.parametrize("alpha", PASS_ALPHAS)
     def test_degree_zero_pass_takes_g_minus_one_as_zero(self, alpha):
         x = np.linspace(-1.0, 1.0, 5)
-        table, q, qd = _recurrence(alpha, 0, x)
-        assert np.array_equal(table, np.ones((1, 5)))
-        assert np.array_equal(q, np.ones(5))  # G_0 - G_{-1}
-        assert np.array_equal(qd, np.zeros(5))  # G_0' - G_{-1}'
+        assert np.array_equal(_recurrence(alpha, 0, x), np.ones((1, 5)))
+        # the ring holds G_{-2}, G_{-1}, G_0
+        assert np.array_equal(_recurrence(alpha, 0, x, False), [[0.0] * 5, [0.0] * 5, [1.0] * 5])
 
     def test_rejects_a_negative_degree(self):
         with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
             _recurrence(0.5, -1, 0.3)
         with pytest.raises(ValueError, match="degree must be nonnegative, got -2"):
-            node_polynomial(0.5, -2, np.array([0.3]))
+            _recurrence(0.5, -2, np.array([0.3]), False)
 
     def test_rejects_invalid_parameter(self):
         with pytest.raises(ValueError):
@@ -234,31 +239,38 @@ class TestNodes:
     def test_nodes_zero_the_generating_polynomial(self, alpha, n):
         """A further Newton step on q_n moves no node by more than 4 ulp of 1."""
         nodes = gauss_radau_nodes(BasisConfig(alpha, n))
-        q, qd = node_polynomial(alpha, n, nodes)
+        q, qd = _node_polynomial(alpha, n, nodes)
         assert np.all(np.abs(q) <= 4 * EPS * np.abs(qd))
 
     @pytest.mark.parametrize("alpha", POLISH_ALPHAS)
     @pytest.mark.parametrize("n", POLISH_DEGREES)
     def test_values_only_q_is_bit_identical_to_the_reference(self, alpha, n):
+        """The polish's ring holds the last three rows of the full table, bit for bit."""
         x = _golub_welsch(alpha, n)
-        _, q, _ = _recurrence(alpha, n + 1, x, False)
-        assert np.array_equal(q, node_polynomial(alpha, n, x)[0])
+        ring, table = _recurrence(alpha, n + 1, x, False), _recurrence(alpha, n + 1, x)
+        assert np.array_equal(ring, table[-3:])
 
     @pytest.mark.parametrize("alpha", POLISH_ALPHAS)
     @pytest.mark.parametrize("n", POLISH_DEGREES)
     def test_polish_is_bit_identical_to_the_reference_newton_step(self, alpha, n):
         """The identity's q_n' only scales a correction of a few ulps."""
         x = _golub_welsch(alpha, n)
-        q, qd = node_polynomial(alpha, n, x)
+        q, qd = _node_polynomial(alpha, n, x)
         assert np.array_equal(gauss_radau_nodes(BasisConfig(alpha, n))[1:], x - q / qd)
 
     @pytest.mark.parametrize("alpha", [-0.499, 20.0])
     def test_polish_at_n_1024_raises_no_warning(self, alpha):
-        """The identity divides by 1 - x^2, which the extreme nodes bring nearest 0."""
+        """The identity divides by 1 - x^2, which the extreme nodes bring nearest 0.
+
+        The polish and the barycentric weights both read it.
+        """
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             nodes = gauss_radau_nodes(BasisConfig(alpha, 1024))
+            bary = standard_nodeset(BasisConfig(alpha, 1024)).bary
         assert np.all(np.isfinite(nodes))
+        assert np.all(np.isfinite(bary))
+        assert np.all(np.sign(bary) == (-1.0) ** np.arange(1025))
 
     @pytest.mark.parametrize("n", [1, 16, 128, 512])
     def test_chebyshev_closed_form(self, n):
@@ -294,7 +306,7 @@ class TestWeights:
     def test_discrete_orthonormality(self, alpha, n):
         """sum_j w_j G_k(x_j) G_l(x_j) = lambda_k delta_kl for k + l <= 2n."""
         ns = standard_nodeset(BasisConfig(alpha, n))
-        g = _recurrence(alpha, n, ns.nodes)[0]
+        g = _recurrence(alpha, n, ns.nodes)
         lambdas = _squared_norms(alpha, n)
         gram = (g * ns.weights[None, :]) @ g.T / lambdas[:, None]
         assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-10
@@ -314,6 +326,22 @@ class TestWeights:
             exact = 0.0 if k % 2 else math.exp(math.lgamma(p) + math.lgamma(r) - math.lgamma(p + r))
             approx = float(np.sum(ns.weights * ns.nodes**k))
             assert approx == pytest.approx(exact, abs=2e-11, rel=1e-12)
+
+
+class TestBarycentricWeights:
+    @pytest.mark.parametrize("alpha", [-0.499, 0.0, 0.5, 5.0, 20.0])
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_match_mpmath_at_the_nodes(self, alpha, n):
+        """bary = 1/q_n' at the floating nodes, the endpoint included, to 5e-13 relative."""
+        ns = standard_nodeset(BasisConfig(alpha, n))
+        idx = np.unique(np.linspace(0, n, 40).round().astype(int))
+        exact = _exact_bary(alpha, n, ns.nodes[idx])
+        assert np.max(np.abs(ns.bary[idx] - exact) / np.abs(exact)) <= 5e-13
+
+    def test_degree_zero_rule(self):
+        """The one-node rule's q_0 = G_1 - G_0 = x - 1 has q_0' = 1."""
+        for alpha in (-0.499, 0.0, 0.5):
+            assert np.array_equal(standard_nodeset(BasisConfig(alpha, 0)).bary, [1.0])
 
 
 class TestShifting:

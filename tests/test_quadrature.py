@@ -26,7 +26,7 @@ class TestBasisAntiderivatives:
     def test_chebyshev_quadratic_closed_form(self):
         """For alpha = 0, the degree-2 antiderivative is 2x^3/3 - x - 1/3."""
         x = np.linspace(-1.0, 1.0, 21)
-        rows = _antiderivatives(0.0, _recurrence(0.0, 3, x)[0])
+        rows = _antiderivatives(0.0, _recurrence(0.0, 3, x))
         expected = 2.0 * x**3 / 3.0 - x - 1.0 / 3.0
         assert np.max(np.abs(rows[2] - expected)) <= 1e-14
 
@@ -34,7 +34,7 @@ class TestBasisAntiderivatives:
         """m = 0 leaves the closed form for degrees >= 2 an empty range."""
         x = np.linspace(-1.0, 1.0, 21)
         for m in (0, 1):
-            rows = _antiderivatives(1.3, _recurrence(1.3, m + 1, x)[0])
+            rows = _antiderivatives(1.3, _recurrence(1.3, m + 1, x))
             expected = np.array([x + 1.0, (x**2 - 1.0) / 2.0])[: m + 1]
             assert rows.shape == expected.shape
             assert np.max(np.abs(rows - expected)) <= 1e-14
@@ -48,17 +48,17 @@ class TestBasisAntiderivatives:
         t, w = np.polynomial.legendre.leggauss(13)
         rng = np.random.default_rng(20240817)
         xs = rng.uniform(-1.0, 1.0, size=20)
-        rows = _antiderivatives(alpha, _recurrence(alpha, 25, xs)[0])
+        rows = _antiderivatives(alpha, _recurrence(alpha, 25, xs))
         for i, x in enumerate(xs):
             half = (x + 1.0) / 2.0
-            exact = half * _recurrence(alpha, 24, half * (t + 1.0) - 1.0)[0] @ w
+            exact = half * _recurrence(alpha, 24, half * (t + 1.0) - 1.0) @ w
             for j in (0, 1, 2, 3, 7, 12, 24):
                 assert abs(rows[j, i] - exact[j]) <= 1e-12
 
     @given(alpha=st.sampled_from(ALPHA_GRID), j=st.integers(min_value=2, max_value=24))
     def test_vanishes_at_left_endpoint(self, alpha, j):
         """Integrals from -1 to -1 are zero; degree >= 2 rows vanish exactly."""
-        rows = _antiderivatives(alpha, _recurrence(alpha, j + 1, np.array([-1.0]))[0])
+        rows = _antiderivatives(alpha, _recurrence(alpha, j + 1, np.array([-1.0])))
         assert abs(rows[j, 0]) <= 1e-13
 
 
@@ -80,14 +80,14 @@ class TestFirstOrderOperator:
         ops = build_operators(cfg, 1.0)
         ones = np.ones(10)
         standard = standard_nodeset(cfg)
-        q1 = build_q1(standard, table=node_table(cfg)[0])
+        q1 = build_q1(standard, table=node_table(cfg))
         assert np.max(np.abs(q1 @ ones - (standard.nodes + 1.0))) <= 1e-12
         assert np.max(np.abs(ops.q1_shifted @ ones - ops.shifted.nodes)) <= 1e-12
 
     def test_b_two_reuses_the_standard_matrix(self):
         cfg = BasisConfig(1.1, 7)
         ops = build_operators(cfg, 2.0)
-        standard = build_q1(standard_nodeset(cfg), table=node_table(cfg)[0])
+        standard = build_q1(standard_nodeset(cfg), table=node_table(cfg))
         assert np.all(ops.q1_shifted == standard)
 
     @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.5, 2.0])
@@ -123,7 +123,7 @@ class TestSecondOrderOperator:
         """Building via shift_operators matches build_operators."""
         cfg = BasisConfig(0.8, 6)
         standard = standard_nodeset(cfg)
-        q1 = build_q1(standard, table=node_table(cfg)[0])
+        q1 = build_q1(standard, table=node_table(cfg))
         ops = shift_operators(q1, standard, 1.5)
         direct = build_operators(cfg, 1.5)
         assert np.all(ops.q1_shifted == direct.q1_shifted)
@@ -173,7 +173,7 @@ class TestStandardBasisMemo:
     def test_bit_identical_to_a_fresh_build(self, alpha, n, b):
         cfg = BasisConfig(alpha, n)
         standard = standard_nodeset(cfg)
-        fresh = shift_operators(build_q1(standard, table=node_table(cfg)[0]), standard, b)
+        fresh = shift_operators(build_q1(standard, table=node_table(cfg)), standard, b)
         for ops in (build_operators(cfg, b), build_operators(cfg, b)):
             for field in ("nodes", "weights", "bary"):
                 assert np.array_equal(getattr(ops.shifted, field), getattr(fresh.shifted, field))
@@ -190,7 +190,7 @@ class TestStandardBasisMemo:
     def test_public_builders_return_fresh_objects(self):
         cfg = BasisConfig(0.5, 6)
         assert standard_nodeset(cfg) is not standard_nodeset(cfg)
-        standard, (table, _) = standard_nodeset(cfg), node_table(cfg)
+        standard, table = standard_nodeset(cfg), node_table(cfg)
         assert build_q1(standard, table=table) is not build_q1(standard, table=table)
 
 

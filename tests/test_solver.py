@@ -623,6 +623,13 @@ class TestValidation:
                 ProblemSpec(kind="linear", p=lambda x: x, g=lambda x: x,
                             **{**bc, key: bad})
 
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_rejects_operators_for_another_interval(self, b):
+        """Example 1 lives on [0, 1]; operators on another [0, b] would solve another problem."""
+        spec = get_example(1).spec
+        with pytest.raises(ValueError, match=rf"^operators on \[0, {b}\] do not match"):
+            solve(spec, build_operators(BasisConfig(0.5, 16), b))
+
     @pytest.mark.parametrize("beta,gamma", [(1.0, 0.0), (0.0, 1.0)])
     @pytest.mark.parametrize("name", ["p", "g"])
     def test_rejects_non_finite_linear_data_at_the_nodes(self, name, beta, gamma):
