@@ -5,8 +5,8 @@ to approximations of its integral from the left endpoint to each node; the
 second-order operator does the same for the iterated (double) integral.  Both
 are dense (n+1) x (n+1) matrices acting on node-value vectors.  Q1 is built
 on [-1, 1] from the nodeset's own table of G_0 .. G_{n+1} (``node_table``),
-once per (alpha, n); ``shift_operators`` maps it onto [0, b] and forms Q2
-from the shifted Q1.
+once per (alpha, n), and is the only matrix kept: on [0, b] Q1 is (b/2) Q1
+and Q2 is (x_i - x_k) times that, which the solver forms once per solve.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .basis import (BasisConfig, NodeSet, _squared_norms, node_table, shift_node
 __all__ = [
     "IntegrationOperators",
     "build_q1",
-    "shift_operators",
     "build_operators",
     "interpolate",
 ]
@@ -33,18 +32,17 @@ _BASIS_CACHE_SIZE = 8
 
 @dataclass(frozen=True)
 class IntegrationOperators:
-    """The nodeset and the first- and second-order integration matrices on [0, b].
+    """The nodeset on [0, b] and the standard first-order matrix Q1 on [-1, 1].
 
-    ``shift_operators`` builds all three; both matrices are read-only.
+    ``q1`` is the memo's read-only matrix, shared by every b.  Under the
+    affine map Q1 on [0, b] is (b/2) Q1.  Swapping the order of the double
+    integral collapses it to one integral with kernel (x - t), so entry
+    (i, k) of Q2 on [0, b] is (x_i - x_k) (b/2) Q1[i, k] in the shifted
+    abscissas; its diagonal is exactly zero.
     """
 
     shifted: NodeSet
-    q1_shifted: np.ndarray
-    q2_shifted: np.ndarray
-
-    def __post_init__(self):
-        self.q1_shifted.setflags(write=False)
-        self.q2_shifted.setflags(write=False)
+    q1: np.ndarray
 
     @property
     def nodes(self) -> np.ndarray:
@@ -97,22 +95,6 @@ def build_q1(nodeset: NodeSet, *, table: np.ndarray) -> np.ndarray:
     return q1
 
 
-def shift_operators(q1: np.ndarray, standard: NodeSet, b: float) -> IntegrationOperators:
-    """Map the standard nodeset and Q1 onto [0, b], and form Q2 there.
-
-    The first-order matrix scales by exactly b/2 under the affine map.
-    Swapping the order of the double integral collapses it to a single
-    integral with kernel (x - t): entry (i, k) of Q2 is (x_i - x_k) Q1[i, k]
-    in the shifted abscissas, so the kernel factor is exact there and the
-    diagonal is exactly zero.
-    """
-    shifted = shift_nodeset(standard, b)
-    q1 = (b / 2.0) * q1
-    q2 = np.subtract.outer(shifted.nodes, shifted.nodes)
-    q2 *= q1
-    return IntegrationOperators(shifted, q1, q2)
-
-
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _standard_basis(cfg: BasisConfig) -> tuple[NodeSet, np.ndarray]:
     """The standard nodeset and its Q1, read from one node table, shared by every b."""
@@ -124,9 +106,9 @@ def _standard_basis(cfg: BasisConfig) -> tuple[NodeSet, np.ndarray]:
 
 
 def build_operators(cfg: BasisConfig, b: float = 1.0) -> IntegrationOperators:
-    """Shift the memoized standard operators for (alpha, n) onto [0, b]."""
+    """The memoized standard nodeset for (alpha, n) shifted onto [0, b], with its Q1."""
     standard, q1 = _standard_basis(cfg)
-    return shift_operators(q1, standard, b)
+    return IntegrationOperators(shift_nodeset(standard, b), q1)
 
 
 def interpolate(nodeset: NodeSet, values: np.ndarray, x) -> np.ndarray:

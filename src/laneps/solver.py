@@ -17,9 +17,12 @@ z = (Phi, y0), where y0 = y(0) and
     H = I + a2 * Q1 / x,
 
 with y(b) = y0 + a1*b + Q2[0] Phi and y'(b) = a1 + Q1[0] Phi, since the first
-node is b.  The border row is linear in z, so J is H + f_y * Q2 bordered by
-the column f_y and the row (beta*Q2[0] + gamma*Q1[0], beta); the
-pure-derivative condition (beta = 0) is the same rows with beta = 0.  A
+node is b.  Q1 and Q2 are the matrices on [0, b]: each solve writes (b/2) Q1
+from the standard Q1 of its IntegrationOperators into one buffer, forms Q2 as
+(x_i - x_k) times it, and then turns that buffer into H in place.  The border
+row is linear in z, so J is H + f_y * Q2 bordered by the column f_y and the
+row (beta*Q2[0] + gamma*Q1[0], beta); the pure-derivative condition
+(beta = 0) is the same rows with beta = 0.  A
 linear problem is solved by one exact Newton step from z = 0; a nonlinear one
 by one damped Newton run.  Below n = 256 that run starts from Phi = 0 and the
 y0 that meets the border row there, (delta - (beta*b + gamma)*a1)/beta, or
@@ -43,9 +46,11 @@ the step, and if it stalls NonlinearSolveError is raised, as it is when f_y
 is not finite at an iterate.  Each residual evaluation returns F and the y it
 was formed from; the Newton step is taken at that y, and the result reports
 the y and F of the accepted iterate, so y is formed once per iterate.
-One error state covers a whole Newton run (f and f_y) and the evaluation of p
-and g: a value that overflows to inf or NaN becomes the typed error of the
-finiteness test that sees it, never a RuntimeWarning.  The linear step and kappa_inf share one
+One error state covers the whole solve (the operators, p and g, f and f_y):
+a value that overflows to inf or NaN becomes the typed error of the
+finiteness test that sees it, never a RuntimeWarning; a linear step that is
+not finite raises ValueError, and a kappa_inf beyond the double range is
+reported as inf.  The linear step and kappa_inf share one
 LU factorization: J is solved against [-F(0) | I], whose first column is the
 step and whose rest is J^-1 (inversion by solves against the identity; Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec.
@@ -138,12 +143,12 @@ class ProblemSpec:
 class SolverResult:
     """Solution data at the collocation nodes plus solver diagnostics.
 
-    ``phi`` holds the computed y'' values at the nodes; ``kappa_inf`` is set,
-    finite, for linear solves only (a singular J raises) and
-    ``newton_iters``/``step_norms`` for nonlinear ones.  These count the
-    Newton run at this degree only; ``seed_degree`` is the degree whose
-    solution started it (None for the start Phi = 0 with the y0 that meets
-    the border row, see the module docstring).
+    ``phi`` holds the computed y'' values at the nodes; ``kappa_inf`` is set
+    for linear solves only (a singular J raises), and is inf when it exceeds
+    the double range; ``newton_iters``/``step_norms`` are set for nonlinear
+    ones.  These count the Newton run at this degree only; ``seed_degree``
+    is the degree whose solution started it (None for the start Phi = 0
+    with the y0 that meets the border row, see the module docstring).
     ``evaluate`` interpolates y off the nodes (exactly y0 at x = 0).
     """
 
@@ -239,11 +244,15 @@ def _gmres(matvec, rhs: np.ndarray, rtol: float, basis: np.ndarray) -> np.ndarra
 
 def _step_and_condition(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """The step a^-1 rhs and the infinity-norm condition number of a, from one
-    factorization; an exactly singular a raises numpy.linalg.LinAlgError."""
+    factorization; an exactly singular a raises numpy.linalg.LinAlgError and
+    a step that is not finite ValueError.  The condition number overflows to
+    inf beyond the double range, in the caller's error state."""
     block = np.zeros((rhs.size, rhs.size + 1))
     block[:, 0] = rhs
     np.fill_diagonal(block[:, 1:], 1.0)
     sol = np.linalg.solve(a, block)
+    if not np.isfinite(sol[:, 0]).all():
+        raise ValueError("the linear step is not finite: the bordered system overflows")
     kappa = np.abs(a).sum(axis=1).max() * np.abs(sol[:, 1:]).sum(axis=1).max()
     return sol[:, 0].copy(), float(kappa)
 
@@ -257,45 +266,44 @@ def _damped_newton(residual_fn, step_fn, scale_fn, z0: np.ndarray):
     of F(z), which sets its rounding floor.  When the full step is rejected,
     z is accepted as converged at that floor if max|F(z)| is within it and
     the step is below sqrt(eps)*max|z|; otherwise the line search halves the
-    step, and raises NonlinearSolveError if it stalls.  The whole run is one
-    error state: f and f_y may overflow at the start or at a trial step, and
-    the finiteness tests turn that into a rejected trial or a
+    step, and raises NonlinearSolveError if it stalls.  In the caller's error
+    state f and f_y may overflow at the start or at a trial step, and the
+    finiteness tests turn that into a rejected trial or a
     NonlinearSolveError.  Returns z, F(z) and y of the accepted iterate, the
     iteration count and the step norms.
     """
     z = np.asarray(z0, dtype=float).copy()
     steps: list[float] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        fval, y = residual_fn(z)
-        fnorm = float(np.abs(fval).max())
-        if not math.isfinite(fnorm):
-            raise NonlinearSolveError("residual not finite at the initial guess")
-        for it in range(1, _NEWTON_MAXITER + 1):
-            if fnorm <= _NEWTON_TOL:
-                return z, fval, y, it - 1, steps
-            step = step_fn(fval, y, fnorm)
-            t = 1.0
-            for _ in range(_ARMIJO_HALVINGS + 1):
-                taken = step if t == 1.0 else t * step
-                trial = z + taken
-                f_trial, y_trial = residual_fn(trial)
-                f_trial_norm = float(np.abs(f_trial).max())
-                if math.isfinite(f_trial_norm) and f_trial_norm <= (1.0 - 1e-4 * t) * fnorm:
-                    break
-                if t == 1.0 and np.abs(step).max() <= _STEP_RTOL * np.abs(z).max():
-                    if fnorm <= _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y):
-                        return z, fval, y, it - 1, steps
-                t *= 0.5
-            else:
-                floor = _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y)
-                raise NonlinearSolveError(
-                    f"line search stalled at iteration {it} "
-                    f"(residual {fnorm:.3e}, rounding floor {floor:.3e})"
-                )
-            z, fval, y, fnorm = trial, f_trial, y_trial, f_trial_norm
-            steps.append(float(np.abs(taken).max()))
-            if steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL:
-                return z, fval, y, it, steps
+    fval, y = residual_fn(z)
+    fnorm = float(np.abs(fval).max())
+    if not math.isfinite(fnorm):
+        raise NonlinearSolveError("residual not finite at the initial guess")
+    for it in range(1, _NEWTON_MAXITER + 1):
+        if fnorm <= _NEWTON_TOL:
+            return z, fval, y, it - 1, steps
+        step = step_fn(fval, y, fnorm)
+        t = 1.0
+        for _ in range(_ARMIJO_HALVINGS + 1):
+            taken = step if t == 1.0 else t * step
+            trial = z + taken
+            f_trial, y_trial = residual_fn(trial)
+            f_trial_norm = float(np.abs(f_trial).max())
+            if math.isfinite(f_trial_norm) and f_trial_norm <= (1.0 - 1e-4 * t) * fnorm:
+                break
+            if t == 1.0 and np.abs(step).max() <= _STEP_RTOL * np.abs(z).max():
+                if fnorm <= _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y):
+                    return z, fval, y, it - 1, steps
+            t *= 0.5
+        else:
+            floor = _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y)
+            raise NonlinearSolveError(
+                f"line search stalled at iteration {it} "
+                f"(residual {fnorm:.3e}, rounding floor {floor:.3e})"
+            )
+        z, fval, y, fnorm = trial, f_trial, y_trial, f_trial_norm
+        steps.append(float(np.abs(taken).max()))
+        if steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL:
+            return z, fval, y, it, steps
     raise NonlinearSolveError(
         f"no convergence within {_NEWTON_MAXITER} iterations (residual {fnorm:.3e})"
     )
@@ -326,23 +334,30 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"n must be at least 1, got {n}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness tests reject overflow
 def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     """Solve F(z) = 0 for z = (Phi, y0) (see the module docstring)."""
     if ops.shifted.interval != (0.0, spec.b):
         raise ValueError(f"operators on [0, {ops.shifted.interval[1]}] do not match the "
                          f"problem's interval [0, {spec.b}]")
-    x, q1 = ops.nodes, ops.q1_shifted
+    x, q1, half_b = ops.nodes, ops.q1, spec.b / 2.0
     m = x.size
     _check_degree(m - 1)
-    h = np.divide(q1, x[:, None])  # H = I + a2 * Q1 / x in this one buffer
+    h = half_b * q1  # Q1 on [0, b], then H = I + a2 * Q1 / x in this one buffer
+    q2 = np.subtract.outer(x, x)
+    q2 *= h
+    # The border row beta*y(b) + gamma*y'(b) - delta = top Phi + beta*y0 + border.
+    beta = spec.beta
+    top = beta * q2[0] + spec.gamma * h[0]
+    border = beta * spec.alpha1 * spec.b + spec.gamma * spec.alpha1 - spec.delta
+    h /= x[:, None]
     h *= spec.alpha2
     h.reshape(-1)[:: m + 1] += 1.0
     sing = spec.alpha1 * spec.alpha2 / x
     a1x = spec.alpha1 * x
     if spec.kind == "linear":
-        with np.errstate(over="ignore", invalid="ignore"):  # the isfinite test rejects overflow
-            pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
-            gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
+        pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
+        gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
         for name, vals in (("p", pvals), ("g", gvals)):
             if not np.isfinite(vals).all():
                 raise ValueError(f"{name}(x) is not finite at every node")
@@ -353,12 +368,6 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         raise NonlinearSolveError("nonlinear problems require dfdy = f_y for the Jacobian")
     else:
         f, dfdy = spec.f, spec.dfdy
-
-    q2 = ops.q2_shifted
-    # The border row beta*y(b) + gamma*y'(b) - delta = top Phi + beta*y0 + border.
-    beta = spec.beta
-    top = beta * q2[0] + spec.gamma * q1[0]
-    border = beta * spec.alpha1 * spec.b + spec.gamma * spec.alpha1 - spec.delta
 
     def residual(z):
         # F(z) and the y = y0 + a1*x + Q2 Phi it was formed from.
@@ -398,12 +407,13 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         # solved to the inexact-Newton forcing term (Eisenstat & Walker, SIAM J.
         # Sci. Comput. 17, 1996); a step GMRES misses within its cap takes LU.
         # Q2[i, k] = (x_i - x_k) Q1[i, k], so H v_Phi and Q2 v_Phi come from
-        # one product of Q1 with the two columns (v_Phi, x v_Phi).
+        # one product of the standard Q1 with the two columns (v_Phi, x v_Phi),
+        # scaled by b/2.
         fy = finite_fy(y)
 
         def jvp(v, out):
             phi, rows = v[:m], out[:m]
-            q1phi, q1xphi = (q1 @ np.stack((phi, x * phi), axis=1)).T
+            q1phi, q1xphi = (q1 @ np.stack((phi, x * phi), axis=1)).T * half_b
             np.multiply(x, q1phi, out=rows)
             rows -= q1xphi  # Q2 v_Phi
             rows += v[m]
@@ -441,7 +451,7 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         phi=phi,
         y_nodes=y,
         y0=float(z[m]),
-        yprime_nodes=spec.alpha1 + q1 @ phi,
+        yprime_nodes=spec.alpha1 + half_b * (q1 @ phi),
         residual_nodes=fz[:m],
         **diag,
     )

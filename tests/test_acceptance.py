@@ -108,12 +108,14 @@ def test_criterion_07_operator_exactness_on_polynomials():
             for b in B_GRID:
                 ops = build_operators(BasisConfig(alpha, n), b)
                 x = ops.shifted.nodes
+                q1 = (b / 2.0) * ops.q1  # Q1 and Q2 on [0, b]
+                q2 = (x[:, None] - x[None, :]) * q1
                 for k in range(n + 1):
-                    err = np.max(np.abs(ops.q1_shifted @ x**k - x ** (k + 1) / (k + 1)))
+                    err = np.max(np.abs(q1 @ x**k - x ** (k + 1) / (k + 1)))
                     worst = max(worst, float(err / np.max(x ** (k + 1) / (k + 1))))
                 for k in range(n):
                     exact = x ** (k + 2) / ((k + 1) * (k + 2))
-                    err = np.max(np.abs(ops.q2_shifted @ x**k - exact))
+                    err = np.max(np.abs(q2 @ x**k - exact))
                     worst = max(worst, float(err / np.max(exact)))
     ok = worst <= 1e-11
     _report(7, ok, f"worst relative error={worst:.3e}")
@@ -165,13 +167,14 @@ def test_criterion_10_error_bounds_dominate_measured_errors():
             x = ops.shifted.nodes
             result = solve_problem(spec, n, alpha)
             f_nodes = case.exact_second(x)
+            q1 = (spec.b / 2.0) * ops.q1  # Q1 and Q2 on [0, b]
 
-            meas = np.abs(ops.q1_shifted @ f_nodes - (case.exact_prime(x) - spec.alpha1))
+            meas = np.abs(q1 @ f_nodes - (case.exact_prime(x) - spec.alpha1))
             bound = bound_q1_error(BoundInputs(n=n, alpha=alpha, b=spec.b, a=ds(n + 3)), x)
             worst_excess = max(worst_excess, float(np.max(meas - bound)))
 
             exact_double = case.exact(x) - float(case.exact(0.0)) - spec.alpha1 * x
-            meas = np.abs(ops.q2_shifted @ f_nodes - exact_double)
+            meas = np.abs(((x[:, None] - x[None, :]) * q1) @ f_nodes - exact_double)
             bound = bound_q2_error(
                 BoundInputs(n=n, alpha=alpha, b=spec.b, a0=ds(n + 3), a1=ds(n + 4)), x)
             worst_excess = max(worst_excess, float(np.max(meas - bound)))

@@ -106,11 +106,12 @@ def _robin_dominance_rows(case, n, alpha):
     ds = case.deriv_sup
     f_nodes = case.exact_second(x)
 
-    q1_meas = np.abs(ops.q1_shifted @ f_nodes - (case.exact_prime(x) - spec.alpha1))
+    q1 = (spec.b / 2.0) * ops.q1  # Q1 and Q2 on [0, b]
+    q1_meas = np.abs(q1 @ f_nodes - (case.exact_prime(x) - spec.alpha1))
     q1_bound = bound_q1_error(BoundInputs(n=n, alpha=alpha, b=spec.b, a=ds(n + 3)), x)
 
     exact_double = case.exact(x) - float(case.exact(0.0)) - spec.alpha1 * x
-    q2_meas = np.abs(ops.q2_shifted @ f_nodes - exact_double)
+    q2_meas = np.abs(((x[:, None] - x[None, :]) * q1) @ f_nodes - exact_double)
     q2_bound = bound_q2_error(
         BoundInputs(n=n, alpha=alpha, b=spec.b, a0=ds(n + 3), a1=ds(n + 4)), x
     )

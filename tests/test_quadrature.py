@@ -1,5 +1,6 @@
 """Tests for integration operators, basis antiderivatives, and interpolation."""
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -15,11 +16,22 @@ from laneps.quadrature import (
     build_operators,
     build_q1,
     interpolate,
-    shift_operators,
 )
+from laneps.solver import ProblemSpec, solve
 
 ALPHA_GRID = (-0.4, 0.0, 0.5, 1.1, 2.0)
 B_GRID = (1.0, 1.5, 2.0)
+
+
+def _q1_on(ops):
+    """Q1 on [0, b] from its definition: b/2 times the standard Q1."""
+    return (ops.shifted.interval[1] / 2.0) * ops.q1
+
+
+def _q2_on(ops):
+    """Q2 on [0, b] from its definition: (x_i - x_k) times Q1 on [0, b]."""
+    x = ops.nodes
+    return (x[:, None] - x[None, :]) * _q1_on(ops)
 
 
 class TestBasisAntiderivatives:
@@ -71,7 +83,7 @@ class TestFirstOrderOperator:
         ops = build_operators(BasisConfig(alpha, n), b)
         x = ops.shifted.nodes
         for k in range(n + 1):
-            approx = ops.q1_shifted @ x**k
+            approx = _q1_on(ops) @ x**k
             exact = x ** (k + 1) / (k + 1.0)
             assert np.max(np.abs(approx - exact)) / np.max(np.abs(exact)) <= 1e-11
 
@@ -82,13 +94,13 @@ class TestFirstOrderOperator:
         standard = standard_nodeset(cfg)
         q1 = build_q1(standard, table=node_table(cfg))
         assert np.max(np.abs(q1 @ ones - (standard.nodes + 1.0))) <= 1e-12
-        assert np.max(np.abs(ops.q1_shifted @ ones - ops.shifted.nodes)) <= 1e-12
+        assert np.max(np.abs(_q1_on(ops) @ ones - ops.shifted.nodes)) <= 1e-12
 
     def test_b_two_reuses_the_standard_matrix(self):
         cfg = BasisConfig(1.1, 7)
         ops = build_operators(cfg, 2.0)
         standard = build_q1(standard_nodeset(cfg), table=node_table(cfg))
-        assert np.all(ops.q1_shifted == standard)
+        assert np.all(_q1_on(ops) == standard)
 
     @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.5, 2.0])
     @pytest.mark.parametrize("n", [32, 128, 512])
@@ -110,37 +122,28 @@ class TestSecondOrderOperator:
         ops = build_operators(BasisConfig(alpha, n), b)
         x = ops.shifted.nodes
         for k in range(n):
-            approx = ops.q2_shifted @ x**k
+            approx = _q2_on(ops) @ x**k
             exact = x ** (k + 2) / ((k + 1.0) * (k + 2.0))
             assert np.max(np.abs(approx - exact)) / np.max(np.abs(exact)) <= 1e-11
 
     @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
     def test_diagonal_is_exactly_zero(self, alpha):
         ops = build_operators(BasisConfig(alpha, 8), 1.5)
-        assert np.all(np.diag(ops.q2_shifted) == 0.0)
-
-    def test_shift_operators_round_trip(self):
-        """Building via shift_operators matches build_operators."""
-        cfg = BasisConfig(0.8, 6)
-        standard = standard_nodeset(cfg)
-        q1 = build_q1(standard, table=node_table(cfg))
-        ops = shift_operators(q1, standard, 1.5)
-        direct = build_operators(cfg, 1.5)
-        assert np.all(ops.q1_shifted == direct.q1_shifted)
-        assert np.all(ops.q2_shifted == direct.q2_shifted)
+        assert np.all(np.diag(_q2_on(ops)) == 0.0)
 
 
 class TestLazySecondOrderOperator:
-    """Q2 is a read-only field formed by the kernel formula."""
+    """The solver forms Q2 per solve, bit for bit by the kernel formula."""
 
     @pytest.mark.parametrize("alpha", [-0.499, 0.5, 5.0])
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_built_on_first_read_with_the_kernel_formula(self, alpha, n):
-        ops = build_operators(BasisConfig(alpha, n), 1.5)
-        x, q2 = ops.nodes, ops.q2_shifted
-        assert np.array_equal(q2, (x[:, None] - x[None, :]) * ops.q1_shifted)
-        with pytest.raises(ValueError):
-            q2[0, 0] = 1.0
+        """The solver's y is y0 + a1 x + Q2 Phi with Q2 = (x_i - x_k) (b/2) Q1."""
+        spec = ProblemSpec(kind="linear", alpha1=0.25, alpha2=2.0, beta=1.0, gamma=0.5,
+                           delta=1.0, b=1.5, p=np.cos, g=np.exp)
+        ops = build_operators(BasisConfig(alpha, n), spec.b)
+        r = solve(spec, ops)
+        assert np.array_equal(r.y_nodes, r.y0 + spec.alpha1 * ops.nodes + _q2_on(ops) @ r.phi)
 
 
 class TestStandardBasisMemo:
@@ -149,6 +152,23 @@ class TestStandardBasisMemo:
         first, second = build_operators(cfg, 1.0), build_operators(cfg, 2.5)
         # The shift passes the standard barycentric weights through unchanged.
         assert first.shifted.bary is second.shifted.bary
+
+    def test_operators_hold_the_memoized_standard_matrix(self):
+        cfg = BasisConfig(0.7, 9)
+        for b in (1.0, 2.5):
+            assert build_operators(cfg, b).q1 is quadrature._standard_basis(cfg)[1]
+
+    def test_a_warm_build_allocates_no_matrix(self):
+        """At n = 512 a memo hit allocates less than one 513 x 513 array."""
+        cfg = BasisConfig(0.5, 512)
+        build_operators(cfg, 1.5)
+        tracemalloc.start()
+        try:
+            build_operators(cfg, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 513 * 513 * 8
 
     def test_a_miss_makes_two_recurrence_passes_and_a_hit_none(self, monkeypatch):
         """One pass for the Newton polish, one at the nodes for weights, bary and Q1."""
@@ -173,12 +193,12 @@ class TestStandardBasisMemo:
     def test_bit_identical_to_a_fresh_build(self, alpha, n, b):
         cfg = BasisConfig(alpha, n)
         standard = standard_nodeset(cfg)
-        fresh = shift_operators(build_q1(standard, table=node_table(cfg)), standard, b)
+        fresh_q1 = build_q1(standard, table=node_table(cfg))
+        fresh = shift_nodeset(standard, b)
         for ops in (build_operators(cfg, b), build_operators(cfg, b)):
             for field in ("nodes", "weights", "bary"):
-                assert np.array_equal(getattr(ops.shifted, field), getattr(fresh.shifted, field))
-            for field in ("q1_shifted", "q2_shifted"):
-                assert np.array_equal(getattr(ops, field), getattr(fresh, field))
+                assert np.array_equal(getattr(ops.shifted, field), getattr(fresh, field))
+            assert np.array_equal(ops.q1, fresh_q1)
 
     def test_least_recently_used_basis_is_rebuilt(self):
         cfg = BasisConfig(0.25, 3)
@@ -281,10 +301,10 @@ class TestInterpolation:
         assert np.max(np.abs(interpolate(ns, values, x) - (c0 + c1 * x))) <= 1e-11
 
     def test_matrices_are_frozen(self):
-        """Shifted operators, and the memoized standard ones they share, are read-only."""
+        """The operators' Q1, which is the memoized standard one, and the nodes are read-only."""
         cfg = BasisConfig(0.5, 4)
         ops = build_operators(cfg, 1.0)
         standard, q1 = quadrature._standard_basis(cfg)
-        for arr in (ops.q1_shifted, ops.q2_shifted, q1, standard.nodes, ops.shifted.bary):
+        for arr in (ops.q1, q1, standard.nodes, ops.shifted.bary):
             with pytest.raises(ValueError):
                 arr[0] = 0.0

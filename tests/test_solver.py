@@ -18,6 +18,13 @@ from laneps.solver import (
 )
 
 
+def _q1_q2(ops):
+    """Q1 and Q2 on [0, b] from their definitions: (b/2) Q1 and (x_i - x_k) times that."""
+    x = ops.nodes
+    q1 = (ops.shifted.interval[1] / 2.0) * ops.q1
+    return q1, (x[:, None] - x[None, :]) * q1
+
+
 def _manufactured_linear(beta=2.0, gamma=1.0):
     """y = x^2 - 2 solves y'' + y'/x + y = x^2 + 2 with y'(0) = 0."""
     delta = beta * (-1.0) + gamma * 2.0
@@ -47,7 +54,7 @@ class TestRobinBranch:
                                (get_example(2).spec, 32, 5.0), (_stiff_source(), 16, 0.5)):
             ops = build_operators(BasisConfig(alpha, n), spec.b)
             r = solve(spec, ops)
-            rebuilt = r.y0 + spec.alpha1 * r.nodes + ops.q2_shifted @ r.phi
+            rebuilt = r.y0 + spec.alpha1 * r.nodes + _q1_q2(ops)[1] @ r.phi
             assert np.array_equal(r.y_nodes, rebuilt)
 
     def test_endpoint_value_is_structural_for_dirichlet_data(self):
@@ -57,7 +64,7 @@ class TestRobinBranch:
             spec = get_example(ex_id).spec
             ops = build_operators(BasisConfig(0.3, 6), spec.b)
             r = solve(spec, ops)
-            q2_top = np.abs(ops.q2_shifted[0])
+            q2_top = np.abs(_q1_q2(ops)[1][0])
             terms = abs(r.y0) + abs(spec.alpha1 * spec.b) + q2_top @ np.abs(r.phi)
             assert abs(r.y_nodes[0] - spec.delta / spec.beta) <= 4 * np.finfo(float).eps * terms
 
@@ -129,7 +136,7 @@ def _manufactured_neumann(p=lambda x: np.ones_like(x)):
 def _rebuilt_jacobian(spec, ops):
     """J of a linear spec from the textbook formulas: H + diag(p) Q2, bordered
     by the column p and the row (beta Q2[0] + gamma Q1[0], beta)."""
-    x, q1, q2 = ops.nodes, ops.q1_shifted, ops.q2_shifted
+    x, (q1, q2) = ops.nodes, _q1_q2(ops)
     h = np.eye(x.size) + spec.alpha2 * (q1 / x[:, None])
     p = np.broadcast_to(spec.p(x), x.shape)
     border = np.append(spec.beta * q2[0] + spec.gamma * q1[0], spec.beta)
@@ -406,7 +413,7 @@ class TestNewtonStart:
         # delta * (1 + k eps), k = 0 .. 299, both solvers took one more
         # iteration in about 30% of the draws.  One more is allowed there.
         x = ops.nodes
-        h = np.eye(x.size) + spec.alpha2 * (ops.q1_shifted / x[:, None])
+        h = np.eye(x.size) + spec.alpha2 * (_q1_q2(ops)[0] / x[:, None])
         rows = np.abs(h) @ np.abs(r.phi) + np.abs(spec.f(x, r.y_nodes))
         floor = 4.0 * np.finfo(float).eps * np.max(rows)
         assert r.newton_iters <= self.ELIMINATED_ITERS[case, alpha, n] + (floor > 1e-13)
@@ -651,6 +658,41 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^{name}\(x\) is not finite"):
                 solve_problem(spec, 8, 0.5)
+
+    @staticmethod
+    def _constant_solution(kind, b):
+        """y = 1 solves y'' + y'/x + f = 0 with y'(0) = 0 and y(b) = 1, for f = 0
+        (p = g = 0) and for f = y - 1."""
+        bc = dict(alpha1=0.0, alpha2=1.0, beta=1.0, gamma=0.0, delta=1.0, b=b)
+        if kind == "linear":
+            return ProblemSpec(kind="linear", p=np.zeros_like, g=np.zeros_like, **bc)
+        return ProblemSpec(kind="nonlinear", f=lambda x, y: y - 1.0,
+                           dfdy=lambda x, y: np.ones_like(y), **bc)
+
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("b", [1e100, 1e154])
+    @pytest.mark.parametrize("n", [8, 300])
+    def test_huge_interval_solves_without_warning(self, kind, b, n):
+        """Q2 on [0, b] reaches b^2; kappa_inf beyond the double range reads inf."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = solve_problem(self._constant_solution(kind, b), n, 0.5)
+        assert np.max(np.abs(r.y_nodes - 1.0)) <= 4 * np.finfo(float).eps
+        assert r.kappa_inf == (np.inf if kind == "linear" else None)
+
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("b", [1e160, 1e300])
+    @pytest.mark.parametrize("n", [8, 300])
+    def test_overflowing_interval_raises_without_warning(self, kind, b, n):
+        """Q2 on [0, b] overflows to inf: a typed error, never a NaN result."""
+        error, message = {
+            "linear": (ValueError, "^the linear step is not finite"),
+            "nonlinear": (NonlinearSolveError, "^residual not finite at the initial guess$"),
+        }[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                solve_problem(self._constant_solution(kind, b), n, 0.5)
 
     @pytest.mark.parametrize("ex_id", [1, 5])
     def test_rejects_a_degree_below_one(self, ex_id):
