@@ -5,8 +5,9 @@ to approximations of its integral from the left endpoint to each node; the
 second-order operator does the same for the iterated (double) integral.  Both
 are dense (n+1) x (n+1) matrices acting on node-value vectors.  Q1 is built
 on [-1, 1] from the nodeset's own table of G_0 .. G_{n+1} (``node_table``),
-once per (alpha, n), and is the only matrix kept: on [0, b] Q1 is (b/2) Q1
-and Q2 is (x_i - x_k) times that, which the solver forms once per solve.
+once per (alpha, n), and is the only matrix kept.  The operators do not
+depend on b: the solver maps the nodes onto [0, b], where Q1 is (b/2) Q1
+and Q2 is (x_i - x_k) times that, and forms both once per solve.
 """
 from __future__ import annotations
 
@@ -15,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import (BasisConfig, NodeSet, _squared_norms, node_table, shift_nodeset,
-                    standard_nodeset)
+from .basis import BasisConfig, NodeSet, _squared_norms, node_table, standard_nodeset
 
 __all__ = [
     "IntegrationOperators",
@@ -25,29 +25,24 @@ __all__ = [
     "interpolate",
 ]
 
-#: Standard bases (the nodeset and Q1, both read from one Gegenbauer table)
-#: kept for reuse across solves; at n = 512 each holds a 2 MB Q1.
+#: Operators (the nodeset and Q1, both read from one Gegenbauer table) kept
+#: for reuse across solves; at n = 512 each holds a 2 MB Q1.
 _BASIS_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
 class IntegrationOperators:
-    """The nodeset on [0, b] and the standard first-order matrix Q1 on [-1, 1].
+    """The standard nodeset and its first-order matrix Q1, both on [-1, 1].
 
-    ``q1`` is the memo's read-only matrix, shared by every b.  Under the
-    affine map Q1 on [0, b] is (b/2) Q1.  Swapping the order of the double
+    Both are the memo's read-only arrays, shared by every b.  Under the
+    affine map onto [0, b] Q1 is (b/2) Q1.  Swapping the order of the double
     integral collapses it to one integral with kernel (x - t), so entry
     (i, k) of Q2 on [0, b] is (x_i - x_k) (b/2) Q1[i, k] in the shifted
     abscissas; its diagonal is exactly zero.
     """
 
-    shifted: NodeSet
+    standard: NodeSet
     q1: np.ndarray
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """Collocation abscissas on [0, b], descending from b."""
-        return self.shifted.nodes
 
 
 def _antiderivatives(alpha: float, g: np.ndarray) -> np.ndarray:
@@ -96,19 +91,13 @@ def build_q1(nodeset: NodeSet, *, table: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _standard_basis(cfg: BasisConfig) -> tuple[NodeSet, np.ndarray]:
-    """The standard nodeset and its Q1, read from one node table, shared by every b."""
+def build_operators(cfg: BasisConfig) -> IntegrationOperators:
+    """The memoized standard nodeset for (alpha, n) and its Q1, read from one node table."""
     table = node_table(cfg)
     standard = standard_nodeset(cfg, table=table)
     q1 = build_q1(standard, table=table)
     q1.setflags(write=False)
-    return standard, q1
-
-
-def build_operators(cfg: BasisConfig, b: float = 1.0) -> IntegrationOperators:
-    """The memoized standard nodeset for (alpha, n) shifted onto [0, b], with its Q1."""
-    standard, q1 = _standard_basis(cfg)
-    return IntegrationOperators(shift_nodeset(standard, b), q1)
+    return IntegrationOperators(standard, q1)
 
 
 def interpolate(nodeset: NodeSet, values: np.ndarray, x) -> np.ndarray:

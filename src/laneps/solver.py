@@ -17,8 +17,9 @@ z = (Phi, y0), where y0 = y(0) and
     H = I + a2 * Q1 / x,
 
 with y(b) = y0 + a1*b + Q2[0] Phi and y'(b) = a1 + Q1[0] Phi, since the first
-node is b.  Q1 and Q2 are the matrices on [0, b]: each solve writes (b/2) Q1
-from the standard Q1 of its IntegrationOperators into one buffer, forms Q2 as
+node is b.  The IntegrationOperators do not depend on b: each solve maps
+their standard nodes onto [0, b], where Q1 and Q2 are the matrices.  It
+writes (b/2) Q1 from the standard Q1 into one buffer, forms Q2 as
 (x_i - x_k) times it, and then turns that buffer into H in place.  The border
 row is linear in z, so J is H + f_y * Q2 bordered by the column f_y and the
 row (beta*Q2[0] + gamma*Q1[0], beta); the pure-derivative condition
@@ -67,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisConfig, NodeSet
+from .basis import BasisConfig, NodeSet, shift_nodeset
 from .quadrature import IntegrationOperators, build_operators, interpolate
 
 __all__ = [
@@ -309,19 +310,19 @@ def _damped_newton(residual_fn, step_fn, scale_fn, z0: np.ndarray):
     )
 
 
-def _newton_start(spec: ProblemSpec, ops: IntegrationOperators):
+def _newton_start(spec: ProblemSpec, nodeset: NodeSet):
     """(seed degree, z0): from n = _FINE_N on, the degree-_COARSE_N
-    solution on the nodes of ``ops``; below that, or if it fails, (None,
+    solution on the nodes of ``nodeset``; below that, or if it fails, (None,
     (0, y0*)) with y0* the y(0) that meets the border row at Phi = 0."""
-    m = ops.nodes.size
+    m = nodeset.nodes.size
     if m - 1 >= _FINE_N:
-        coarse_ops = build_operators(BasisConfig(ops.shifted.alpha, _COARSE_N), spec.b)
+        coarse_ops = build_operators(BasisConfig(nodeset.alpha, _COARSE_N))
         try:
             coarse = solve(spec, coarse_ops)
         except (NonlinearSolveError, ArithmeticError):
             pass
         else:
-            return _COARSE_N, np.append(interpolate(coarse.nodeset, coarse.phi, ops.nodes),
+            return _COARSE_N, np.append(interpolate(coarse.nodeset, coarse.phi, nodeset.nodes),
                                         coarse.y0)
     z0 = np.zeros(m + 1)
     if spec.beta != 0:
@@ -336,11 +337,9 @@ def _check_degree(n: int) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness tests reject overflow
 def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
-    """Solve F(z) = 0 for z = (Phi, y0) (see the module docstring)."""
-    if ops.shifted.interval != (0.0, spec.b):
-        raise ValueError(f"operators on [0, {ops.shifted.interval[1]}] do not match the "
-                         f"problem's interval [0, {spec.b}]")
-    x, q1, half_b = ops.nodes, ops.q1, spec.b / 2.0
+    """Solve F(z) = 0 for z = (Phi, y0) on the nodes of ``ops`` mapped onto [0, b]."""
+    nodeset = shift_nodeset(ops.standard, spec.b)
+    x, q1, half_b = nodeset.nodes, ops.q1, spec.b / 2.0
     m = x.size
     _check_degree(m - 1)
     h = half_b * q1  # Q1 on [0, b], then H = I + a2 * Q1 / x in this one buffer
@@ -437,7 +436,7 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         fz, y = residual(z)
         diag = {"kappa_inf": kappa}
     else:
-        seed_degree, z0 = _newton_start(spec, ops)
+        seed_degree, z0 = _newton_start(spec, nodeset)
         step = lu_step
         if m - 1 >= _FINE_N:  # one Krylov workspace for the run
             basis, a2x, step = np.empty((_GMRES_MAXITER + 1, m + 1)), spec.alpha2 / x, krylov_step
@@ -447,7 +446,7 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
     phi = z[:m]
     return SolverResult(
         spec=spec,
-        nodeset=ops.shifted,
+        nodeset=nodeset,
         phi=phi,
         y_nodes=y,
         y0=float(z[m]),
@@ -458,6 +457,6 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
 
 
 def solve_problem(spec: ProblemSpec, n: int, alpha: float) -> SolverResult:
-    """Build operators for (n, alpha) on [0, b] and solve."""
+    """Build operators for (n, alpha) and solve on [0, b]."""
     _check_degree(n)
-    return solve(spec, build_operators(BasisConfig(alpha, n), spec.b))
+    return solve(spec, build_operators(BasisConfig(alpha, n)))

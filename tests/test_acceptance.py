@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from laneps.basis import BasisConfig, _recurrence, _squared_norms, standard_nodeset
+from laneps.basis import BasisConfig, _recurrence, _squared_norms, shift_nodeset, standard_nodeset
 from laneps.bounds import (
     BoundInputs,
     bound_derivative_error,
@@ -106,8 +106,8 @@ def test_criterion_07_operator_exactness_on_polynomials():
     for alpha in ALPHA_GRID:
         for n in range(1, 21):
             for b in B_GRID:
-                ops = build_operators(BasisConfig(alpha, n), b)
-                x = ops.shifted.nodes
+                ops = build_operators(BasisConfig(alpha, n))
+                x = shift_nodeset(ops.standard, b).nodes
                 q1 = (b / 2.0) * ops.q1  # Q1 and Q2 on [0, b]
                 q2 = (x[:, None] - x[None, :]) * q1
                 for k in range(n + 1):
@@ -133,7 +133,7 @@ def test_criterion_08_discrete_orthonormality_and_node_structure():
             assert np.all(ns.weights > 0.0)
             assert abs(ns.nodes[0] - 1.0) <= 1e-13
             for b in (1.5, 2.0):
-                shifted = build_operators(BasisConfig(alpha, n), b).shifted
+                shifted = shift_nodeset(build_operators(BasisConfig(alpha, n)).standard, b)
                 assert abs(shifted.nodes[0] - b) <= 1e-13
     ok = worst <= 1e-10
     _report(8, ok, f"worst orthonormality defect={worst:.3e}")
@@ -163,8 +163,8 @@ def test_criterion_10_error_bounds_dominate_measured_errors():
         spec = case.spec
         ds = case.deriv_sup
         for n in (4, 5, 6, 8, 12):
-            ops = build_operators(BasisConfig(alpha, n), spec.b)
-            x = ops.shifted.nodes
+            ops = build_operators(BasisConfig(alpha, n))
+            x = shift_nodeset(ops.standard, spec.b).nodes
             result = solve_problem(spec, n, alpha)
             f_nodes = case.exact_second(x)
             q1 = (spec.b / 2.0) * ops.q1  # Q1 and Q2 on [0, b]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from laneps.basis import BasisConfig, _recurrence
+from laneps.basis import BasisConfig, _recurrence, shift_nodeset
 from laneps.bounds import (
     BoundInputs,
     bound_derivative_error,
@@ -100,8 +100,8 @@ class TestBoundShapes:
 def _robin_dominance_rows(case, n, alpha):
     """Measured quantities and their bounds for a value-condition problem."""
     spec = case.spec
-    ops = build_operators(BasisConfig(alpha, n), spec.b)
-    x = ops.shifted.nodes
+    ops = build_operators(BasisConfig(alpha, n))
+    x = shift_nodeset(ops.standard, spec.b).nodes
     r = solve_problem(spec, n, alpha)
     ds = case.deriv_sup
     f_nodes = case.exact_second(x)

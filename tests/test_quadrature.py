@@ -23,15 +23,25 @@ ALPHA_GRID = (-0.4, 0.0, 0.5, 1.1, 2.0)
 B_GRID = (1.0, 1.5, 2.0)
 
 
-def _q1_on(ops):
+def _nodes_on(ops, b):
+    """The standard nodes of ``ops`` mapped onto [0, b]."""
+    return shift_nodeset(ops.standard, b).nodes
+
+
+def _q1_on(ops, b):
     """Q1 on [0, b] from its definition: b/2 times the standard Q1."""
-    return (ops.shifted.interval[1] / 2.0) * ops.q1
+    return (b / 2.0) * ops.q1
 
 
-def _q2_on(ops):
+def _q2_on(ops, b):
     """Q2 on [0, b] from its definition: (x_i - x_k) times Q1 on [0, b]."""
-    x = ops.nodes
-    return (x[:, None] - x[None, :]) * _q1_on(ops)
+    x = _nodes_on(ops, b)
+    return (x[:, None] - x[None, :]) * _q1_on(ops, b)
+
+
+def _linear_spec(b):
+    return ProblemSpec(kind="linear", alpha1=0.0, alpha2=2.0, beta=1.0, gamma=0.0,
+                       delta=1.0, b=b, p=np.cos, g=np.exp)
 
 
 class TestBasisAntiderivatives:
@@ -80,34 +90,34 @@ class TestFirstOrderOperator:
     @pytest.mark.parametrize("b", B_GRID)
     def test_exact_on_polynomials(self, alpha, n, b):
         """Integration of t^k from 0 is exact for k <= n (relative scale)."""
-        ops = build_operators(BasisConfig(alpha, n), b)
-        x = ops.shifted.nodes
+        ops = build_operators(BasisConfig(alpha, n))
+        x = _nodes_on(ops, b)
         for k in range(n + 1):
-            approx = _q1_on(ops) @ x**k
+            approx = _q1_on(ops, b) @ x**k
             exact = x ** (k + 1) / (k + 1.0)
             assert np.max(np.abs(approx - exact)) / np.max(np.abs(exact)) <= 1e-11
 
     def test_integrates_constants_to_node_offsets(self):
         cfg = BasisConfig(0.3, 9)
-        ops = build_operators(cfg, 1.0)
+        ops = build_operators(cfg)
         ones = np.ones(10)
         standard = standard_nodeset(cfg)
         q1 = build_q1(standard, table=node_table(cfg))
         assert np.max(np.abs(q1 @ ones - (standard.nodes + 1.0))) <= 1e-12
-        assert np.max(np.abs(_q1_on(ops) @ ones - ops.shifted.nodes)) <= 1e-12
+        assert np.max(np.abs(_q1_on(ops, 1.0) @ ones - _nodes_on(ops, 1.0))) <= 1e-12
 
     def test_b_two_reuses_the_standard_matrix(self):
         cfg = BasisConfig(1.1, 7)
-        ops = build_operators(cfg, 2.0)
+        ops = build_operators(cfg)
         standard = build_q1(standard_nodeset(cfg), table=node_table(cfg))
-        assert np.all(_q1_on(ops) == standard)
+        assert np.all(_q1_on(ops, 2.0) == standard)
 
     @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.5, 2.0])
     @pytest.mark.parametrize("n", [32, 128, 512])
     def test_standard_matrix_integrates_low_powers_to_rounding(self, alpha, n):
         """Q1 x^k = (x^(k+1) + (-1)^k) / (k+1) at the standard nodes for k <= 8."""
-        standard, q1 = quadrature._standard_basis(BasisConfig(alpha, n))
-        x = standard.nodes
+        ops = build_operators(BasisConfig(alpha, n))
+        x, q1 = ops.standard.nodes, ops.q1
         for k in range(9):
             exact = (x ** (k + 1) + (-1) ** k) / (k + 1)
             assert np.max(np.abs(q1 @ x**k - exact)) <= 5e-14
@@ -119,17 +129,17 @@ class TestSecondOrderOperator:
     @pytest.mark.parametrize("b", B_GRID)
     def test_exact_on_polynomials(self, alpha, n, b):
         """Double integration of t^k from 0 is exact for k <= n - 1."""
-        ops = build_operators(BasisConfig(alpha, n), b)
-        x = ops.shifted.nodes
+        ops = build_operators(BasisConfig(alpha, n))
+        x = _nodes_on(ops, b)
         for k in range(n):
-            approx = _q2_on(ops) @ x**k
+            approx = _q2_on(ops, b) @ x**k
             exact = x ** (k + 2) / ((k + 1.0) * (k + 2.0))
             assert np.max(np.abs(approx - exact)) / np.max(np.abs(exact)) <= 1e-11
 
     @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
     def test_diagonal_is_exactly_zero(self, alpha):
-        ops = build_operators(BasisConfig(alpha, 8), 1.5)
-        assert np.all(np.diag(_q2_on(ops)) == 0.0)
+        ops = build_operators(BasisConfig(alpha, 8))
+        assert np.all(np.diag(_q2_on(ops, 1.5)) == 0.0)
 
 
 class TestLazySecondOrderOperator:
@@ -141,34 +151,36 @@ class TestLazySecondOrderOperator:
         """The solver's y is y0 + a1 x + Q2 Phi with Q2 = (x_i - x_k) (b/2) Q1."""
         spec = ProblemSpec(kind="linear", alpha1=0.25, alpha2=2.0, beta=1.0, gamma=0.5,
                            delta=1.0, b=1.5, p=np.cos, g=np.exp)
-        ops = build_operators(BasisConfig(alpha, n), spec.b)
+        ops = build_operators(BasisConfig(alpha, n))
         r = solve(spec, ops)
-        assert np.array_equal(r.y_nodes, r.y0 + spec.alpha1 * ops.nodes + _q2_on(ops) @ r.phi)
+        y = r.y0 + spec.alpha1 * _nodes_on(ops, spec.b) + _q2_on(ops, spec.b) @ r.phi
+        assert np.array_equal(r.y_nodes, y)
 
 
 class TestStandardBasisMemo:
     def test_shared_across_interval_lengths(self):
         cfg = BasisConfig(0.7, 9)
-        first, second = build_operators(cfg, 1.0), build_operators(cfg, 2.5)
-        # The shift passes the standard barycentric weights through unchanged.
-        assert first.shifted.bary is second.shifted.bary
+        ops = build_operators(cfg)
+        for b in (1.0, 2.5):
+            # The shift passes the standard barycentric weights through unchanged.
+            assert solve(_linear_spec(b), ops).nodeset.bary is ops.standard.bary
 
     def test_operators_hold_the_memoized_standard_matrix(self):
+        """A hit returns the memo entry itself, so its Q1 is never copied."""
         cfg = BasisConfig(0.7, 9)
-        for b in (1.0, 2.5):
-            assert build_operators(cfg, b).q1 is quadrature._standard_basis(cfg)[1]
+        assert build_operators(cfg) is build_operators(cfg)
 
     def test_a_warm_build_allocates_no_matrix(self):
-        """At n = 512 a memo hit allocates less than one 513 x 513 array."""
+        """At n = 512 a memo hit allocates under 1 KiB: it builds no array at all."""
         cfg = BasisConfig(0.5, 512)
-        build_operators(cfg, 1.5)
+        build_operators(cfg)
         tracemalloc.start()
         try:
-            build_operators(cfg, 1.5)
+            build_operators(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 513 * 513 * 8
+        assert peak < 1024
 
     def test_a_miss_makes_two_recurrence_passes_and_a_hit_none(self, monkeypatch):
         """One pass for the Newton polish, one at the nodes for weights, bary and Q1."""
@@ -180,32 +192,39 @@ class TestStandardBasisMemo:
             return original(*args)
 
         monkeypatch.setattr(basis, "_recurrence", counted)
-        quadrature._standard_basis.cache_clear()
+        build_operators.cache_clear()
         cfg = BasisConfig(0.5, 12)
-        build_operators(cfg, 1.5)
+        build_operators(cfg)
         assert len(calls) == 2
-        build_operators(cfg, 2.5)
+        build_operators(cfg)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID + (-0.499, 20.0))
     @pytest.mark.parametrize("n", [0, 1, 5, 32])
     @pytest.mark.parametrize("b", B_GRID)
     def test_bit_identical_to_a_fresh_build(self, alpha, n, b):
+        """The memo entry is a fresh standard build, and a solve maps its nodes onto [0, b]."""
         cfg = BasisConfig(alpha, n)
-        standard = standard_nodeset(cfg)
-        fresh_q1 = build_q1(standard, table=node_table(cfg))
-        fresh = shift_nodeset(standard, b)
-        for ops in (build_operators(cfg, b), build_operators(cfg, b)):
+        fresh = standard_nodeset(cfg)
+        fresh_q1 = build_q1(fresh, table=node_table(cfg))
+        for ops in (build_operators(cfg), build_operators(cfg)):
             for field in ("nodes", "weights", "bary"):
-                assert np.array_equal(getattr(ops.shifted, field), getattr(fresh, field))
+                assert np.array_equal(getattr(ops.standard, field), getattr(fresh, field))
             assert np.array_equal(ops.q1, fresh_q1)
+        if n == 0:  # the one-node rule does not solve
+            return
+        shifted = shift_nodeset(fresh, b)
+        r = solve(_linear_spec(b), build_operators(cfg))
+        for field in ("nodes", "weights", "bary"):
+            assert np.array_equal(getattr(r.nodeset, field), getattr(shifted, field))
+        assert r.nodeset.interval == (0.0, b)
 
     def test_least_recently_used_basis_is_rebuilt(self):
         cfg = BasisConfig(0.25, 3)
-        first = build_operators(cfg).shifted.bary
+        first = build_operators(cfg)
         for k in range(quadrature._BASIS_CACHE_SIZE):
             build_operators(BasisConfig(0.25, 4 + k))
-        assert build_operators(cfg).shifted.bary is not first
+        assert build_operators(cfg) is not first
 
     def test_public_builders_return_fresh_objects(self):
         cfg = BasisConfig(0.5, 6)
@@ -283,8 +302,7 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("b", B_GRID)
     def test_reproduces_polynomials(self, b):
-        ops = build_operators(BasisConfig(0.5, 8), b)
-        ns = ops.shifted
+        ns = shift_nodeset(build_operators(BasisConfig(0.5, 8)).standard, b)
         x = np.linspace(0.0, b, 33)
         values = ns.nodes**5 - 2.0 * ns.nodes + 1.0
         expected = x**5 - 2.0 * x + 1.0
@@ -301,10 +319,8 @@ class TestInterpolation:
         assert np.max(np.abs(interpolate(ns, values, x) - (c0 + c1 * x))) <= 1e-11
 
     def test_matrices_are_frozen(self):
-        """The operators' Q1, which is the memoized standard one, and the nodes are read-only."""
-        cfg = BasisConfig(0.5, 4)
-        ops = build_operators(cfg, 1.0)
-        standard, q1 = quadrature._standard_basis(cfg)
-        for arr in (ops.q1, q1, standard.nodes, ops.shifted.bary):
+        """The memo entry's Q1 and standard nodeset are read-only."""
+        ops = build_operators(BasisConfig(0.5, 4))
+        for arr in (ops.q1, ops.standard.nodes, ops.standard.weights, ops.standard.bary):
             with pytest.raises(ValueError):
                 arr[0] = 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from laneps import solver
-from laneps.basis import BasisConfig
+from laneps.basis import BasisConfig, shift_nodeset
 from laneps.expressions import DomainEvalError, Expression, parse_expression
 from laneps.quadrature import build_operators
 from laneps.registry import get_example
@@ -18,10 +18,10 @@ from laneps.solver import (
 )
 
 
-def _q1_q2(ops):
+def _q1_q2(ops, b):
     """Q1 and Q2 on [0, b] from their definitions: (b/2) Q1 and (x_i - x_k) times that."""
-    x = ops.nodes
-    q1 = (ops.shifted.interval[1] / 2.0) * ops.q1
+    x = shift_nodeset(ops.standard, b).nodes
+    q1 = (b / 2.0) * ops.q1
     return q1, (x[:, None] - x[None, :]) * q1
 
 
@@ -52,9 +52,9 @@ class TestRobinBranch:
         (alpha = 5)."""
         for spec, n, alpha in ((get_example(1).spec, 5, 0.1), (get_example(2).spec, 256, 0.5),
                                (get_example(2).spec, 32, 5.0), (_stiff_source(), 16, 0.5)):
-            ops = build_operators(BasisConfig(alpha, n), spec.b)
+            ops = build_operators(BasisConfig(alpha, n))
             r = solve(spec, ops)
-            rebuilt = r.y0 + spec.alpha1 * r.nodes + _q1_q2(ops)[1] @ r.phi
+            rebuilt = r.y0 + spec.alpha1 * r.nodes + _q1_q2(ops, spec.b)[1] @ r.phi
             assert np.array_equal(r.y_nodes, rebuilt)
 
     def test_endpoint_value_is_structural_for_dirichlet_data(self):
@@ -62,9 +62,9 @@ class TestRobinBranch:
         of the border row's terms y0, a1*b and Q2[0] Phi."""
         for ex_id in (1, 3):
             spec = get_example(ex_id).spec
-            ops = build_operators(BasisConfig(0.3, 6), spec.b)
+            ops = build_operators(BasisConfig(0.3, 6))
             r = solve(spec, ops)
-            q2_top = np.abs(_q1_q2(ops)[1][0])
+            q2_top = np.abs(_q1_q2(ops, spec.b)[1][0])
             terms = abs(r.y0) + abs(spec.alpha1 * spec.b) + q2_top @ np.abs(r.phi)
             assert abs(r.y_nodes[0] - spec.delta / spec.beta) <= 4 * np.finfo(float).eps * terms
 
@@ -136,7 +136,7 @@ def _manufactured_neumann(p=lambda x: np.ones_like(x)):
 def _rebuilt_jacobian(spec, ops):
     """J of a linear spec from the textbook formulas: H + diag(p) Q2, bordered
     by the column p and the row (beta Q2[0] + gamma Q1[0], beta)."""
-    x, (q1, q2) = ops.nodes, _q1_q2(ops)
+    x, (q1, q2) = shift_nodeset(ops.standard, spec.b).nodes, _q1_q2(ops, spec.b)
     h = np.eye(x.size) + spec.alpha2 * (q1 / x[:, None])
     p = np.broadcast_to(spec.p(x), x.shape)
     border = np.append(spec.beta * q2[0] + spec.gamma * q1[0], spec.beta)
@@ -178,7 +178,7 @@ class TestLinearFactorization:
     @pytest.mark.parametrize("alpha", [-0.499, 0.5, 5.0])
     def test_kappa_is_the_inverse_norm_product(self, branch, n, alpha):
         spec = self.BRANCHES[branch]()
-        ops = build_operators(BasisConfig(alpha, n), spec.b)
+        ops = build_operators(BasisConfig(alpha, n))
         jac = _rebuilt_jacobian(spec, ops)
         expected = np.linalg.norm(jac, np.inf) * np.linalg.norm(np.linalg.inv(jac), np.inf)
         assert abs(solve(spec, ops).kappa_inf - expected) <= 1e-13 * expected
@@ -405,15 +405,15 @@ class TestNewtonStart:
     @pytest.mark.parametrize("case,alpha,n", sorted(ELIMINATED_ITERS, key=str))
     def test_takes_no_more_iterations_than_the_eliminated_system(self, case, alpha, n):
         spec = _index5_dirichlet() if case == "index5" else get_example(case).spec
-        ops = build_operators(BasisConfig(alpha, n), spec.b)
+        ops = build_operators(BasisConfig(alpha, n))
         r = solve(spec, ops)
         # Where the rounding floor of F (4 eps times its largest row of term
         # magnitudes) exceeds the Newton tolerance, here alpha = 2 at n = 128,
         # whether the last residual lands below the tolerance is chance: over
         # delta * (1 + k eps), k = 0 .. 299, both solvers took one more
         # iteration in about 30% of the draws.  One more is allowed there.
-        x = ops.nodes
-        h = np.eye(x.size) + spec.alpha2 * (_q1_q2(ops)[0] / x[:, None])
+        x = r.nodes
+        h = np.eye(x.size) + spec.alpha2 * (_q1_q2(ops, spec.b)[0] / x[:, None])
         rows = np.abs(h) @ np.abs(r.phi) + np.abs(spec.f(x, r.y_nodes))
         floor = 4.0 * np.finfo(float).eps * np.max(rows)
         assert r.newton_iters <= self.ELIMINATED_ITERS[case, alpha, n] + (floor > 1e-13)
@@ -423,9 +423,9 @@ def _record_build_degrees(monkeypatch) -> list:
     """Record the degree of every basis the solver builds."""
     degrees = []
 
-    def counting(cfg, b=1.0):
+    def counting(cfg):
         degrees.append(cfg.n)
-        return build_operators(cfg, b)
+        return build_operators(cfg)
 
     monkeypatch.setattr(solver, "build_operators", counting)
     return degrees
@@ -511,7 +511,7 @@ class TestKrylovStep:
 
         gmres = solver._gmres
         monkeypatch.setattr(solver, "_gmres", recording)
-        ops = build_operators(BasisConfig(0.5, 256), spec.b)
+        ops = build_operators(BasisConfig(0.5, 256))
         solve(spec, ops)
         jac = _rebuilt_jacobian(linear, ops)
         rng = np.random.default_rng(7)
@@ -629,13 +629,6 @@ class TestValidation:
             with pytest.raises(ValueError):
                 ProblemSpec(kind="linear", p=lambda x: x, g=lambda x: x,
                             **{**bc, key: bad})
-
-    @pytest.mark.parametrize("b", [0.5, 2.0])
-    def test_rejects_operators_for_another_interval(self, b):
-        """Example 1 lives on [0, 1]; operators on another [0, b] would solve another problem."""
-        spec = get_example(1).spec
-        with pytest.raises(ValueError, match=rf"^operators on \[0, {b}\] do not match"):
-            solve(spec, build_operators(BasisConfig(0.5, 16), b))
 
     @pytest.mark.parametrize("beta,gamma", [(1.0, 0.0), (0.0, 1.0)])
     @pytest.mark.parametrize("name", ["p", "g"])
