@@ -630,6 +630,21 @@ class TestValidation:
                 ProblemSpec(kind="linear", p=lambda x: x, g=lambda x: x,
                             **{**bc, key: bad})
 
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_one_operators_object_serves_any_interval(self, b):
+        """Operators carry no interval: solve maps their nodes onto the spec's own
+        [0, b] and leaves the shared object as it was, so a later solve keeps its bits."""
+        ops = build_operators(BasisConfig(0.5, 16))
+        spec = get_example(1).spec
+        before = solve(spec, ops)
+        other = solve(dataclasses.replace(spec, b=b), ops)
+        after = solve(spec, ops)
+        assert other.nodeset.interval == (0.0, b)
+        assert np.array_equal(other.nodeset.nodes, shift_nodeset(ops.standard, b).nodes)
+        assert ops.standard.interval == (-1.0, 1.0)
+        assert np.array_equal(after.y_nodes, before.y_nodes)
+        assert np.array_equal(after.nodeset.nodes, before.nodeset.nodes)
+
     @pytest.mark.parametrize("beta,gamma", [(1.0, 0.0), (0.0, 1.0)])
     @pytest.mark.parametrize("name", ["p", "g"])
     def test_rejects_non_finite_linear_data_at_the_nodes(self, name, beta, gamma):
