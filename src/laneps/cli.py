@@ -3,9 +3,11 @@
 Subcommands: ``example`` solves a registered case and reports per-point
 errors; ``sweep`` scans an (n, alpha) grid to CSV; ``solve`` runs a problem
 described by a key-value config file; ``nodes`` dumps quadrature abscissas
-and weights; ``check`` runs the registry self-checks and compares solver
-output against the stored reference errors.  All numeric output uses 17
-significant digits and runs are fully deterministic.
+and weights; ``check`` runs the registry self-checks and reproduces the
+stored reference error tables, each value next to the one it is checked
+against.  Reports, sweeps and node dumps use 17 significant digits; ``check``
+prints in the ``.4e`` format of the stored values.  Runs are fully
+deterministic.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 from .basis import BasisConfig, RootFindingError, shift_nodeset, standard_nodeset
 from .config import ConfigError, load_config
 from .expressions import DomainEvalError, ExpressionError
-from .registry import ExampleCase, RegistryError, all_examples, get_example
+from .registry import EXAMPLE_IDS, ExampleCase, RegistryError, all_examples, get_example
 from .solver import NonlinearSolveError, ProblemSpec, SolverResult, solve_problem
 
 __all__ = ["main"]
@@ -250,12 +252,24 @@ def _cmd_nodes(args) -> int:
     return 0
 
 
+def _compared(label: str, measured: float, stored: float) -> str:
+    """One row of a reference comparison: its label, measured and stored value."""
+    return f"{label:>8}  {measured:12.4e}  {stored:12.4e}"
+
+
 def _check_case_tables(case: ExampleCase, emit) -> int:
+    """Compare each stored table and MAE of ``case`` with a fresh solve,
+    printing the measured and stored values before the verdict they decide."""
     failures = 0
     for table in case.reference_tables:
         result = solve_problem(case.spec, table.n, table.alpha)
         report = build_report(case.spec, table.n, table.alpha, result, table.abscissas,
                               case.exact)
+        emit(f"{'x':>8}  {'measured RE':>12}  {'stored RE':>12}")
+        for x, measured, stored in zip(table.abscissas, report.rel_err,
+                                       table.relative_errors):
+            emit(_compared(f"{x:.3f}", measured, stored))
+        emit(_compared("AE at b", report.ae_b, table.endpoint_abs_error))
         limits = np.maximum(10.0 * np.asarray(table.relative_errors), _REFERENCE_FLOOR)
         end_limit = max(10.0 * table.endpoint_abs_error, _REFERENCE_FLOOR)
         ok = bool(np.all(report.rel_err <= limits)) and report.ae_b <= end_limit
@@ -269,6 +283,7 @@ def _check_case_tables(case: ExampleCase, emit) -> int:
     for ref in case.reference_maes:
         result = solve_problem(case.spec, ref.n, ref.alpha)
         report = build_report(case.spec, ref.n, ref.alpha, result, case.lattice(), case.exact)
+        emit(_compared("MAE", report.mae, ref.mae))
         limit = max(10.0 * ref.mae, _REFERENCE_FLOOR)
         ok = report.mae <= limit
         emit(
@@ -306,13 +321,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_example = sub.add_parser("example", help="solve a built-in example and report errors")
-    p_example.add_argument("id", type=int, choices=range(1, 6))
+    p_example.add_argument("id", type=int, choices=EXAMPLE_IDS)
     p_example.add_argument("--n", type=int, required=True, help="truncation degree")
     p_example.add_argument("--alpha", type=float, required=True, help="basis parameter")
     p_example.add_argument("--csv", help="also write the report as CSV to this path")
 
     p_sweep = sub.add_parser("sweep", help="scan an (n, alpha) grid and emit CSV")
-    p_sweep.add_argument("id", type=int, choices=range(1, 6))
+    p_sweep.add_argument("id", type=int, choices=EXAMPLE_IDS)
     p_sweep.add_argument("--n", default="4,8,16,32,64,128",
                          help="comma-separated degrees (default: %(default)s)")
     p_sweep.add_argument("--alpha-range", default="-0.4:0.1:2",

@@ -17,6 +17,7 @@ and boundary data at 100 sample points before a case is handed out.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +37,6 @@ __all__ = [
     "all_examples",
     "EXAMPLE_IDS",
 ]
-
-EXAMPLE_IDS = (1, 2, 3, 4, 5)
 
 #: Exact-solution self-check tolerances (ODE residual / boundary data).
 _ODE_TOL = 1e-10
@@ -251,6 +250,9 @@ _CASE_DATA = {
     ),
 }
 
+#: The registered example ids, in order.
+EXAMPLE_IDS = tuple(_CASE_DATA)
+
 
 def _build(example_id: int) -> ExampleCase:
     """The case read from its config file, plus its entry of ``_CASE_DATA``."""
@@ -290,18 +292,14 @@ def self_check(case: ExampleCase) -> None:
         )
 
 
-_CACHE: dict[int, ExampleCase] = {}
-
-
+@functools.cache
 def get_example(example_id: int) -> ExampleCase:
     """Return the registered case, self-checking it on first access."""
     if example_id not in EXAMPLE_IDS:
         raise KeyError(f"unknown example id {example_id}; expected one of {EXAMPLE_IDS}")
-    if example_id not in _CACHE:
-        case = _build(example_id)
-        self_check(case)
-        _CACHE[example_id] = case
-    return _CACHE[example_id]
+    case = _build(example_id)
+    self_check(case)
+    return case
 
 
 def all_examples() -> tuple[ExampleCase, ...]:

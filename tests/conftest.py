@@ -1,5 +1,8 @@
-"""Shared test configuration: a deterministic, deadline-free hypothesis profile."""
+"""Shared test configuration: a deterministic, deadline-free hypothesis profile,
+and the integration operators on [0, b] from their definitions."""
 from hypothesis import HealthCheck, settings
+
+from laneps.basis import shift_nodeset
 
 settings.register_profile(
     "suite",
@@ -9,3 +12,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def operators_on(ops, b):
+    """The nodes, Q1 and Q2 of ``ops`` on [0, b], from their definitions.
+
+    The nodes are the standard nodes mapped onto [0, b], Q1 is b/2 times the
+    standard Q1, and Q2 is (x_i - x_k) times Q1 on [0, b].
+    """
+    x = shift_nodeset(ops.standard, b).nodes
+    q1 = (b / 2.0) * ops.q1
+    return x, q1, (x[:, None] - x[None, :]) * q1

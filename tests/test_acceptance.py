@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from conftest import operators_on
 from laneps.basis import BasisConfig, _recurrence, _squared_norms, shift_nodeset, standard_nodeset
 from laneps.bounds import (
     BoundInputs,
@@ -107,9 +108,7 @@ def test_criterion_07_operator_exactness_on_polynomials():
         for n in range(1, 21):
             for b in B_GRID:
                 ops = build_operators(BasisConfig(alpha, n))
-                x = shift_nodeset(ops.standard, b).nodes
-                q1 = (b / 2.0) * ops.q1  # Q1 and Q2 on [0, b]
-                q2 = (x[:, None] - x[None, :]) * q1
+                x, q1, q2 = operators_on(ops, b)
                 for k in range(n + 1):
                     err = np.max(np.abs(q1 @ x**k - x ** (k + 1) / (k + 1)))
                     worst = max(worst, float(err / np.max(x ** (k + 1) / (k + 1))))
@@ -164,17 +163,16 @@ def test_criterion_10_error_bounds_dominate_measured_errors():
         ds = case.deriv_sup
         for n in (4, 5, 6, 8, 12):
             ops = build_operators(BasisConfig(alpha, n))
-            x = shift_nodeset(ops.standard, spec.b).nodes
+            x, q1, q2 = operators_on(ops, spec.b)
             result = solve_problem(spec, n, alpha)
             f_nodes = case.exact_second(x)
-            q1 = (spec.b / 2.0) * ops.q1  # Q1 and Q2 on [0, b]
 
             meas = np.abs(q1 @ f_nodes - (case.exact_prime(x) - spec.alpha1))
             bound = bound_q1_error(BoundInputs(n=n, alpha=alpha, b=spec.b, a=ds(n + 3)), x)
             worst_excess = max(worst_excess, float(np.max(meas - bound)))
 
             exact_double = case.exact(x) - float(case.exact(0.0)) - spec.alpha1 * x
-            meas = np.abs(((x[:, None] - x[None, :]) * q1) @ f_nodes - exact_double)
+            meas = np.abs(q2 @ f_nodes - exact_double)
             bound = bound_q2_error(
                 BoundInputs(n=n, alpha=alpha, b=spec.b, a0=ds(n + 3), a1=ds(n + 4)), x)
             worst_excess = max(worst_excess, float(np.max(meas - bound)))

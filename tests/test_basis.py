@@ -360,6 +360,17 @@ class TestShifting:
         with pytest.raises(ValueError, match="b must be finite"):
             shift_nodeset(ns, b)
 
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_rejects_a_length_that_is_not_positive(self, b):
+        ns = standard_nodeset(BasisConfig(0.5, 2))
+        with pytest.raises(ValueError, match="interval length must be positive"):
+            shift_nodeset(ns, b)
+
+    def test_rejects_an_already_shifted_nodeset(self):
+        shifted = shift_nodeset(standard_nodeset(BasisConfig(0.5, 2)), 1.5)
+        with pytest.raises(ValueError, match="can only shift a standard"):
+            shift_nodeset(shifted, 1.5)
+
     def test_b_two_is_a_pure_translation(self):
         ns = standard_nodeset(BasisConfig(1.1, 8))
         shifted = shift_nodeset(ns, 2.0)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from laneps.basis import BasisConfig, _recurrence, shift_nodeset
+from conftest import operators_on
+from laneps.basis import BasisConfig, _recurrence
 from laneps.bounds import (
     BoundInputs,
     bound_derivative_error,
@@ -87,6 +88,18 @@ class TestBoundShapes:
         with pytest.raises(ValueError):
             BoundInputs(n=6, alpha=0.5, b=1.0, a=-1.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", -0.5, "basis parameter must exceed -1/2"),
+        ("n", -1, "need n >= 0 and b > 0"),
+        ("b", 0.0, "need n >= 0 and b > 0"),
+        ("b", -1.0, "need n >= 0 and b > 0"),
+    ])
+    def test_rejects_inputs_out_of_range(self, field, value, message):
+        inputs = dict(n=6, alpha=0.5, b=1.0, a=1.0)
+        inputs[field] = value
+        with pytest.raises(ValueError, match=message):
+            BoundInputs(**inputs)
+
     @pytest.mark.parametrize("field, value", [
         ("b", math.nan), ("b", math.inf), ("alpha", math.inf), ("a", math.nan),
     ])
@@ -101,17 +114,16 @@ def _robin_dominance_rows(case, n, alpha):
     """Measured quantities and their bounds for a value-condition problem."""
     spec = case.spec
     ops = build_operators(BasisConfig(alpha, n))
-    x = shift_nodeset(ops.standard, spec.b).nodes
+    x, q1, q2 = operators_on(ops, spec.b)
     r = solve_problem(spec, n, alpha)
     ds = case.deriv_sup
     f_nodes = case.exact_second(x)
 
-    q1 = (spec.b / 2.0) * ops.q1  # Q1 and Q2 on [0, b]
     q1_meas = np.abs(q1 @ f_nodes - (case.exact_prime(x) - spec.alpha1))
     q1_bound = bound_q1_error(BoundInputs(n=n, alpha=alpha, b=spec.b, a=ds(n + 3)), x)
 
     exact_double = case.exact(x) - float(case.exact(0.0)) - spec.alpha1 * x
-    q2_meas = np.abs(((x[:, None] - x[None, :]) * q1) @ f_nodes - exact_double)
+    q2_meas = np.abs(q2 @ f_nodes - exact_double)
     q2_bound = bound_q2_error(
         BoundInputs(n=n, alpha=alpha, b=spec.b, a0=ds(n + 3), a1=ds(n + 4)), x
     )

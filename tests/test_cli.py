@@ -1,14 +1,21 @@
 """End-to-end tests for the benchmark command line."""
 import csv
+import dataclasses
+import re
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from laneps import cli
+from laneps.basis import RootFindingError
 from laneps.cli import main
 from laneps.config import load_config
+from laneps.registry import RegistryError, all_examples
+from laneps.solver import NonlinearSolveError
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "src" / "laneps" / "configs"
@@ -138,9 +145,9 @@ class TestSweep:
         assert {r["status"] for r in rows} == {"ok"}
 
     def test_malformed_range_is_an_error(self, capsys, tmp_path):
-        # too few fields, an empty range (start > stop), a non-finite step,
-        # and two ranges whose value count overflows to -inf and +inf
-        for text in ("0.5:0.1", "2:0.1:1", "0:nan:1", "1e308:1e-308:-1e308",
+        # too few fields, an empty range (start > stop), a non-finite step, a
+        # zero step, and two ranges whose value count overflows to -inf and +inf
+        for text in ("0.5:0.1", "2:0.1:1", "0:nan:1", "0:0:1", "1e308:1e-308:-1e308",
                      "0:1e-300:1e300"):
             path = tmp_path / "x.csv"
             code, _, err = run(capsys, "sweep", "1", "--n", "4",
@@ -164,6 +171,41 @@ class TestSweep:
         )
         assert proc.returncode == 1
         assert "alpha range '0:1e-12:1' holds more than 10000 values" in proc.stderr
+        assert not path.exists()
+
+    @pytest.mark.parametrize("error", [NonlinearSolveError, RootFindingError,
+                                       np.linalg.LinAlgError])
+    def test_a_failed_cell_is_recorded_and_the_sweep_continues(self, capsys, tmp_path,
+                                                               monkeypatch, error):
+        solve_problem = cli.solve_problem
+
+        def failing_at_one_cell(spec, n, alpha):
+            if (n, alpha) == (8, 0.5):
+                raise error("a, b\nc")
+            return solve_problem(spec, n, alpha)
+
+        monkeypatch.setattr(cli, "solve_problem", failing_at_one_cell)
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run(capsys, "sweep", "4", "--n", "4,8", "--alpha-range", "0:0.5:1",
+                           "--csv", str(path))
+        assert code == 0 and "wrote 6 rows" in out
+        rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
+        assert len(rows) == 6
+        failed = [r for r in rows if (r["n"], r["alpha"]) == ("8", "0.5")]
+        assert len(failed) == 1
+        assert failed[0]["status"] == "a; b c"
+        assert all(failed[0][key] == "" for key in ("mae", "ae_b", "kappa_inf", "newton_iters"))
+        assert all(r["status"] == "ok" for r in rows if r is not failed[0])
+
+    @pytest.mark.parametrize("degrees, message", [
+        ("4,x", "bad degree list '4,x'"),
+        (",", "degree list is empty"),
+    ])
+    def test_malformed_degree_list_is_an_error(self, capsys, tmp_path, degrees, message):
+        path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "1", "--n", degrees, "--csv", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + message)
         assert not path.exists()
 
     def test_degree_below_one_is_an_error(self, capsys, tmp_path):
@@ -242,6 +284,13 @@ class TestSolve:
         assert code == 2
         assert "column" in err
 
+    def test_line_without_equals_sign_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "no_equals.cfg"
+        cfg.write_text("kind = linear\nalpha1 0\n", encoding="utf-8")
+        code, out, err = run(capsys, "solve", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: line 2: expected 'key = value', got 'alpha1 0'\n"
+
     def test_missing_file_exits_nonzero(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
@@ -283,6 +332,10 @@ class TestSolve:
         assert "error:" in err
 
 
+#: A printed comparison row: label, measured value, stored value.
+_COMPARED_ROW = re.compile(r"^ *(\d\.\d{3}|AE at b|MAE) +(\S+) +(\S+)$", re.MULTILINE)
+
+
 class TestCheck:
     def test_full_reference_battery_passes(self, capsys):
         code, out, _ = run(capsys, "check")
@@ -290,6 +343,49 @@ class TestCheck:
         assert "all checks passed" in out
         assert out.count(": ok") >= 12
         assert "FAIL" not in out
+
+    def test_prints_every_compared_value_before_its_verdict(self, capsys):
+        """53 per-point relative errors and 6 errors at b from the stored tables,
+        and 7 lattice MAEs, each next to its stored value."""
+        _, out, _ = run(capsys, "check")
+        rows = _COMPARED_ROW.findall(out)
+        labels = [label for label, _, _ in rows]
+        assert len(rows) - labels.count("AE at b") - labels.count("MAE") == 53
+        assert labels.count("AE at b") == 6 and labels.count("MAE") == 7
+        stored = [float(value) for case in all_examples() for table in case.reference_tables
+                  for value in table.relative_errors + (table.endpoint_abs_error,)]
+        stored += [ref.mae for case in all_examples() for ref in case.reference_maes]
+        assert sorted(float(value) for _, _, value in rows) == sorted(
+            float(format(value, ".4e")) for value in stored)
+        lines = out.splitlines()
+        verdicts = [i for i, line in enumerate(lines) if line.startswith("reference example")]
+        assert len(verdicts) == 13
+        assert all(_COMPARED_ROW.match(lines[i - 1]) for i in verdicts)
+
+    def test_registry_failure_exits_1(self, capsys, monkeypatch):
+        def broken():
+            raise RegistryError("case 1: ODE residual 1 exceeds 1e-10")
+
+        monkeypatch.setattr(cli, "all_examples", broken)
+        code, out, _ = run(capsys, "check")
+        assert code == 1
+        assert out == "registry self-check: FAIL (case 1: ODE residual 1 exceeds 1e-10)\n"
+
+    def test_a_stored_value_1000_times_smaller_fails(self, capsys, monkeypatch):
+        cases = list(all_examples())
+        table = cases[0].reference_tables[0]
+        errors = list(table.relative_errors)
+        errors[3] /= 1000.0
+        cases[0] = dataclasses.replace(cases[0], reference_tables=(
+            dataclasses.replace(table, relative_errors=tuple(errors)),
+        ) + cases[0].reference_tables[1:])
+        monkeypatch.setattr(cli, "all_examples", lambda: tuple(cases))
+        code, out, _ = run(capsys, "check")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.endswith(": FAIL")]
+        assert failed == ["reference example 1 (n=5, alpha=0.1): 11 points + endpoint, "
+                          "worst measured/limit 100: FAIL"]
+        assert out.endswith("1 check(s) failed\n")
 
 
 class TestEntryPoint:

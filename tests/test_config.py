@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from laneps.config import ConfigError, load_config, parse_config_text
+from laneps.registry import EXAMPLE_IDS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "laneps" / "configs"
 
@@ -74,7 +75,7 @@ eval_points = 11
         assert cfg.to_spec() is spec
 
     def test_shipped_configs_parse(self):
-        for i in range(1, 6):
+        for i in EXAMPLE_IDS:
             cfg = load_config(CONFIGS / f"example{i}.cfg")
             assert cfg.n >= 1
             assert cfg.exact is not None
@@ -84,6 +85,11 @@ class TestRejections:
     def test_unknown_key_reports_the_line(self):
         text = LINEAR + "mystery = 1\n"
         with pytest.raises(ConfigError, match="line 16"):
+            parse_config_text(text)
+
+    def test_line_without_equals_sign_reports_the_line(self):
+        text = LINEAR + "mystery\n"
+        with pytest.raises(ConfigError, match="^line 16: expected 'key = value', got 'mystery'$"):
             parse_config_text(text)
 
     def test_duplicate_key(self):

@@ -96,6 +96,13 @@ class TestParseErrors:
         with pytest.raises(ExpressionError):
             parse_expression("sin(x, x)", ("x",))
 
+    def test_call_with_the_wrong_number_of_arguments(self):
+        f = parse_expression("x + y", ("x", "y"))
+        with pytest.raises(TypeError, match=r"takes 2 argument\(s\), got 1"):
+            f(1.0)
+        with pytest.raises(TypeError, match=r"takes 2 argument\(s\), got 3"):
+            f(1.0, 2.0, 3.0)
+
     def test_trailing_garbage(self):
         with pytest.raises(ExpressionError):
             parse_expression("1 2", ("x",))

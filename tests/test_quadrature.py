@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import operators_on
 from laneps import basis, quadrature
 from laneps.basis import BasisConfig, _recurrence, node_table, shift_nodeset, standard_nodeset
 from laneps.quadrature import (
@@ -21,22 +22,6 @@ from laneps.solver import ProblemSpec, solve
 
 ALPHA_GRID = (-0.4, 0.0, 0.5, 1.1, 2.0)
 B_GRID = (1.0, 1.5, 2.0)
-
-
-def _nodes_on(ops, b):
-    """The standard nodes of ``ops`` mapped onto [0, b]."""
-    return shift_nodeset(ops.standard, b).nodes
-
-
-def _q1_on(ops, b):
-    """Q1 on [0, b] from its definition: b/2 times the standard Q1."""
-    return (b / 2.0) * ops.q1
-
-
-def _q2_on(ops, b):
-    """Q2 on [0, b] from its definition: (x_i - x_k) times Q1 on [0, b]."""
-    x = _nodes_on(ops, b)
-    return (x[:, None] - x[None, :]) * _q1_on(ops, b)
 
 
 def _linear_spec(b):
@@ -90,10 +75,9 @@ class TestFirstOrderOperator:
     @pytest.mark.parametrize("b", B_GRID)
     def test_exact_on_polynomials(self, alpha, n, b):
         """Integration of t^k from 0 is exact for k <= n (relative scale)."""
-        ops = build_operators(BasisConfig(alpha, n))
-        x = _nodes_on(ops, b)
+        x, q1, _ = operators_on(build_operators(BasisConfig(alpha, n)), b)
         for k in range(n + 1):
-            approx = _q1_on(ops, b) @ x**k
+            approx = q1 @ x**k
             exact = x ** (k + 1) / (k + 1.0)
             assert np.max(np.abs(approx - exact)) / np.max(np.abs(exact)) <= 1e-11
 
@@ -104,13 +88,20 @@ class TestFirstOrderOperator:
         standard = standard_nodeset(cfg)
         q1 = build_q1(standard, table=node_table(cfg))
         assert np.max(np.abs(q1 @ ones - (standard.nodes + 1.0))) <= 1e-12
-        assert np.max(np.abs(_q1_on(ops, 1.0) @ ones - _nodes_on(ops, 1.0))) <= 1e-12
+        x, q1_on_unit, _ = operators_on(ops, 1.0)
+        assert np.max(np.abs(q1_on_unit @ ones - x)) <= 1e-12
 
     def test_b_two_reuses_the_standard_matrix(self):
         cfg = BasisConfig(1.1, 7)
         ops = build_operators(cfg)
         standard = build_q1(standard_nodeset(cfg), table=node_table(cfg))
-        assert np.all(_q1_on(ops, 2.0) == standard)
+        assert np.all(operators_on(ops, 2.0)[1] == standard)
+
+    def test_rejects_a_shifted_nodeset(self):
+        cfg = BasisConfig(0.5, 4)
+        shifted = shift_nodeset(standard_nodeset(cfg), 1.5)
+        with pytest.raises(ValueError, match="expects a standard"):
+            build_q1(shifted, table=node_table(cfg))
 
     @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.5, 2.0])
     @pytest.mark.parametrize("n", [32, 128, 512])
@@ -129,17 +120,17 @@ class TestSecondOrderOperator:
     @pytest.mark.parametrize("b", B_GRID)
     def test_exact_on_polynomials(self, alpha, n, b):
         """Double integration of t^k from 0 is exact for k <= n - 1."""
-        ops = build_operators(BasisConfig(alpha, n))
-        x = _nodes_on(ops, b)
+        x, _, q2 = operators_on(build_operators(BasisConfig(alpha, n)), b)
         for k in range(n):
-            approx = _q2_on(ops, b) @ x**k
+            approx = q2 @ x**k
             exact = x ** (k + 2) / ((k + 1.0) * (k + 2.0))
             assert np.max(np.abs(approx - exact)) / np.max(np.abs(exact)) <= 1e-11
 
     @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
     def test_diagonal_is_exactly_zero(self, alpha):
         ops = build_operators(BasisConfig(alpha, 8))
-        assert np.all(np.diag(_q2_on(ops, 1.5)) == 0.0)
+        _, _, q2 = operators_on(ops, 1.5)
+        assert np.all(np.diag(q2) == 0.0)
 
 
 class TestLazySecondOrderOperator:
@@ -153,7 +144,8 @@ class TestLazySecondOrderOperator:
                            delta=1.0, b=1.5, p=np.cos, g=np.exp)
         ops = build_operators(BasisConfig(alpha, n))
         r = solve(spec, ops)
-        y = r.y0 + spec.alpha1 * _nodes_on(ops, spec.b) + _q2_on(ops, spec.b) @ r.phi
+        x, _, q2 = operators_on(ops, spec.b)
+        y = r.y0 + spec.alpha1 * x + q2 @ r.phi
         assert np.array_equal(r.y_nodes, y)
 
 

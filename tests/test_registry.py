@@ -110,3 +110,13 @@ class TestSelfCheck:
         broken = dataclasses.replace(case, exact=lambda x: np.asarray(x, float) ** 2)
         with pytest.raises(RegistryError):
             self_check(broken)
+
+    def test_rejects_an_exact_solution_that_fails_the_ode(self):
+        """Example 2 has f = y^5, so a shifted y leaves y'' and y' as they were
+        and breaks the equation itself."""
+        import dataclasses
+
+        case = get_example(2)
+        broken = dataclasses.replace(case, exact=lambda x: case.exact(x) + 1.0)
+        with pytest.raises(RegistryError, match="^case 2: ODE residual"):
+            self_check(broken)

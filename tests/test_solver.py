@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import operators_on
 from laneps import solver
 from laneps.basis import BasisConfig, shift_nodeset
 from laneps.expressions import DomainEvalError, Expression, parse_expression
@@ -16,13 +17,6 @@ from laneps.solver import (
     solve,
     solve_problem,
 )
-
-
-def _q1_q2(ops, b):
-    """Q1 and Q2 on [0, b] from their definitions: (b/2) Q1 and (x_i - x_k) times that."""
-    x = shift_nodeset(ops.standard, b).nodes
-    q1 = (b / 2.0) * ops.q1
-    return q1, (x[:, None] - x[None, :]) * q1
 
 
 def _manufactured_linear(beta=2.0, gamma=1.0):
@@ -54,7 +48,8 @@ class TestRobinBranch:
                                (get_example(2).spec, 32, 5.0), (_stiff_source(), 16, 0.5)):
             ops = build_operators(BasisConfig(alpha, n))
             r = solve(spec, ops)
-            rebuilt = r.y0 + spec.alpha1 * r.nodes + _q1_q2(ops, spec.b)[1] @ r.phi
+            _, _, q2 = operators_on(ops, spec.b)
+            rebuilt = r.y0 + spec.alpha1 * r.nodes + q2 @ r.phi
             assert np.array_equal(r.y_nodes, rebuilt)
 
     def test_endpoint_value_is_structural_for_dirichlet_data(self):
@@ -64,8 +59,8 @@ class TestRobinBranch:
             spec = get_example(ex_id).spec
             ops = build_operators(BasisConfig(0.3, 6))
             r = solve(spec, ops)
-            q2_top = np.abs(_q1_q2(ops, spec.b)[1][0])
-            terms = abs(r.y0) + abs(spec.alpha1 * spec.b) + q2_top @ np.abs(r.phi)
+            _, _, q2 = operators_on(ops, spec.b)
+            terms = abs(r.y0) + abs(spec.alpha1 * spec.b) + np.abs(q2[0]) @ np.abs(r.phi)
             assert abs(r.y_nodes[0] - spec.delta / spec.beta) <= 4 * np.finfo(float).eps * terms
 
     def test_monotone_nonlinearity_recovers_polynomial(self):
@@ -136,7 +131,7 @@ def _manufactured_neumann(p=lambda x: np.ones_like(x)):
 def _rebuilt_jacobian(spec, ops):
     """J of a linear spec from the textbook formulas: H + diag(p) Q2, bordered
     by the column p and the row (beta Q2[0] + gamma Q1[0], beta)."""
-    x, (q1, q2) = shift_nodeset(ops.standard, spec.b).nodes, _q1_q2(ops, spec.b)
+    x, q1, q2 = operators_on(ops, spec.b)
     h = np.eye(x.size) + spec.alpha2 * (q1 / x[:, None])
     p = np.broadcast_to(spec.p(x), x.shape)
     border = np.append(spec.beta * q2[0] + spec.gamma * q1[0], spec.beta)
@@ -235,6 +230,12 @@ class TestNewton:
         case = get_example(ex_id)
         r = solve_problem(case.spec, n, alpha)
         assert np.max(np.abs(r.residual_nodes)) <= 1e-10
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # Example 2 at n = 16, alpha = 0.5 takes 4 iterations.
+        monkeypatch.setattr(solver, "_NEWTON_MAXITER", 1)
+        with pytest.raises(NonlinearSolveError, match="^no convergence within 1 iterations"):
+            solve_problem(get_example(2).spec, 16, 0.5)
 
     @pytest.mark.parametrize("n", [32, 256])
     def test_nonlinear_spec_without_dfdy_is_rejected(self, n):
@@ -412,8 +413,8 @@ class TestNewtonStart:
         # whether the last residual lands below the tolerance is chance: over
         # delta * (1 + k eps), k = 0 .. 299, both solvers took one more
         # iteration in about 30% of the draws.  One more is allowed there.
-        x = r.nodes
-        h = np.eye(x.size) + spec.alpha2 * (_q1_q2(ops, spec.b)[0] / x[:, None])
+        x, (_, q1, _) = r.nodes, operators_on(ops, spec.b)
+        h = np.eye(x.size) + spec.alpha2 * (q1 / x[:, None])
         rows = np.abs(h) @ np.abs(r.phi) + np.abs(spec.f(x, r.y_nodes))
         floor = 4.0 * np.finfo(float).eps * np.max(rows)
         assert r.newton_iters <= self.ELIMINATED_ITERS[case, alpha, n] + (floor > 1e-13)
@@ -619,6 +620,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProblemSpec(kind="linear", alpha1=0.0, alpha2=1.0, beta=1.0,
                         gamma=0.0, delta=0.0, p=lambda x: x)
+        with pytest.raises(ValueError, match="^nonlinear problems require f$"):
+            ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=1.0,
+                        gamma=0.0, delta=0.0, dfdy=lambda x, y: np.ones_like(y))
         with pytest.raises(ValueError, match="^interval length must be positive"):
             ProblemSpec(kind="nonlinear", alpha1=0.0, alpha2=1.0, beta=1.0,
                         gamma=0.0, delta=0.0, b=-1.0, f=lambda x, y: y,
