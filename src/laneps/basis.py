@@ -8,17 +8,20 @@ degree, generated by the three-term recurrence
 orthogonal on [-1, 1] against the weight (1 - x^2)^(a - 1/2) for a > -1/2.
 a = 0 gives the Chebyshev polynomials of the first kind and a = 1/2 the
 Legendre polynomials.  Collocation uses the right-endpoint Gauss-Radau points:
-x = 1 together with the n roots of q_n = G_{n+1} - G_n, computed as Golub–Welsch
-eigenvalues of the Jacobi matrix, one Newton polish.  One private pass of the
-recurrence yields the values G_0 .. G_m, or the last three alone, and every
-evaluation goes through it; it forms the products 2 (k + a) x of 32 degrees
-at a time by one outer product and hands numpy its per-degree scalars as 0-d
-arrays, so each degree step makes four numpy calls.  A standard basis makes
-two passes: one for the last three values at the Golub–Welsch nodes, from
-which the polish takes q_n' by a derivative identity, and one for the table
-of G_0 .. G_{n+1} at the polished nodes (``node_table``), which the
-Christoffel weights and Q1 read.  The barycentric weights 1/q_n' come from
-that table and the Christoffel weights by the Christoffel–Darboux formula.
+x = 1 together with the n roots of q_n = G_{n+1} - G_n.  Below n = 256 these
+are the Golub–Welsch eigenvalues of the Jacobi matrix after one Newton polish,
+an O(n^3) eigensolve; from n = 256 on they come from simultaneous Newton on
+q_n started at asymptotic guesses, O(n^2), which is the faster of the two
+there.  One private pass of the recurrence yields the values G_0 .. G_m, or
+the last three alone, and every evaluation goes through it; it forms the
+products 2 (k + a) x of 32 degrees at a time by one outer product and hands
+numpy its per-degree scalars as 0-d arrays, so each degree step makes four
+numpy calls.  Each Newton step on q_n is one pass for the last three values,
+from which it takes q_n' by a derivative identity: one step for the polish,
+2 to 7 from the guesses at alpha <= 20.  One more pass gives the table of
+G_0 .. G_{n+1} at the nodes (``node_table``), which the Christoffel weights
+and Q1 read.  The barycentric weights 1/q_n' come from that table and the
+Christoffel weights by the Christoffel–Darboux formula.
 """
 from __future__ import annotations
 
@@ -38,7 +41,8 @@ __all__ = [
 
 
 class RootFindingError(RuntimeError):
-    """Raised when the computed Gauss-Radau nodes are not strictly descending in (-1, 1]."""
+    """Raised when Newton on q_n does not converge, or its roots are not strictly
+    descending in (-1, 1]."""
 
 
 def _check_alpha(alpha: float) -> None:
@@ -53,6 +57,14 @@ def _check_degree(n: int) -> None:
 
 #: Recurrence steps whose products c_k x one outer product forms.
 _BLOCK = 32
+#: From this degree on the nodes come from Newton at asymptotic guesses, not
+#: from the eigensolver.  Best of 30 for alpha in {-0.4, 0.5, 2, 5} (2-CPU
+#: x86-64 host, numpy 2.4): 1.7-2.9 against 3.6-3.7 ms at n = 256, but
+#: 0.9-1.7 against 0.9-1.1 ms at n = 128.
+_NEWTON_N = 256
+#: Newton passes after which that path gives up.  From the guesses, alpha <= 2
+#: takes 3-4 passes, alpha = 20 takes 6-7 and alpha = 150 up to 20.
+_NEWTON_PASSES = 24
 
 
 @dataclass(frozen=True)
@@ -103,11 +115,12 @@ def _recurrence(alpha: float, m: int, x, table: bool = True) -> np.ndarray:
 
     With ``table`` the result has shape (m+1,) + shape(x).  Without it the
     rows cycle through a ring of three, and the result is the last three,
-    shape (3,) + shape(x), with G_{-2} = G_{-1} = 0: the node polish reads
-    only those, so it keeps no table.  The products c_k x, c_k = 2 (k + a),
-    of _BLOCK degrees at a time come from one outer product, and k and
-    k + 2a are 0-d arrays made once per block, so a degree step makes four
-    numpy calls, in place, none of which converts a Python number.  The
+    shape (3,) + shape(x), with G_{-2} = G_{-1} = 0: a Newton step on q_n
+    reads only those, so it keeps no table.  The products c_k x,
+    c_k = 2 (k + a), of _BLOCK degrees at a time come from one outer
+    product, and k and k + 2a are 0-d arrays made once per block, so a
+    degree step makes four numpy calls, in place, none of which converts a
+    Python number.  The
     operations and their order are the textbook loop's, one product c_k x
     per degree, so the values agree with it bit for bit.  Beside its result
     a pass allocates O(_BLOCK * size(x)).
@@ -181,23 +194,82 @@ def _golub_welsch(alpha: float, n: int) -> np.ndarray:
     return np.linalg.eigvalsh(jacobi)[::-1]
 
 
+def _newton_step(alpha: float, n: int, x: np.ndarray) -> np.ndarray:
+    """The Newton step q_n(x) / q_n'(x) at interior points x, from one values-only pass.
+
+    It reads G_{n-1}, G_n and G_{n+1} from the ring of the pass and q_n' from
+    them by the identity (1 - x^2) G_j' = j (G_{j-1} - x G_j) (Szego,
+    Orthogonal Polynomials, 1939, section 4.7), which loses digits near +-1:
+    the last steps are a few ulps, so those digits do not reach the nodes.
+    """
+    g_prev, g_n, g_next = _recurrence(alpha, n + 1, x, False)
+    slope = ((n + 1) * (g_n - x * g_next) - n * (g_prev - x * g_n)) / (1.0 - x * x)
+    return (g_next - g_n) / slope
+
+
+def _asymptotic_newton(alpha: float, n: int) -> np.ndarray:
+    """The n roots of q_n, descending, by simultaneous Newton from asymptotic guesses.
+
+    They are the Gauss nodes of the Jacobi weight of ``_golub_welsch``, with
+    a = alpha + 1/2 and b = alpha - 1/2.  The guesses are the interior
+    expansion of Gatteschi and Pittaluga (Hale & Townsend, SIAM J. Sci.
+    Comput. 35(2), 2013, section 3), x_k = cos(theta_k) with
+
+        theta_k = phi_k + ((1/4 - a^2) cot(phi_k/2) - (1/4 - b^2) tan(phi_k/2)) / (4 rho^2),
+
+    phi_k = (k + a/2 - 1/4) pi / rho and rho = n + (a + b + 1)/2; it is
+    exact at alpha = 0.  They are worst near +-1: 2.4e-4 off at alpha = 20,
+    n = 512.  While a step exceeds 1e-6, the Aberth–Ehrlich correction
+    step / (1 - step sum_{j != k} 1/(x_k - x_j)) (Aberth, Math. Comp. 27,
+    1973) over the other roots, x = 1 among them, keeps the iterates apart;
+    plain Newton from these guesses takes 8 passes at alpha = 10 and loses
+    the node order from alpha = 15 on.  The passes stop one after the
+    largest step falls to 1e-9: stopping at that step left nodes up to
+    7.2e-14 off (alpha = -0.499, n = 1024).  From alpha = 22 on some
+    iterates swap places on the way, so the roots are sorted at the end,
+    and the caller checks that they are strictly descending.
+    """
+    a, b = alpha + 0.5, alpha - 0.5
+    rho = n + alpha + 0.5  # n + (a + b + 1)/2
+    phi = (np.arange(1, n + 1) + a / 2 - 0.25) * (math.pi / rho)
+    t = np.tan(phi / 2)
+    x = np.cos(phi + ((0.25 - a * a) / t - (0.25 - b * b) * t) / (4 * rho * rho))
+    last = math.inf
+    # an iterate that leaves (-1, 1) overflows the recurrence; it fails the
+    # convergence test or the caller's check, so it needs no warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_NEWTON_PASSES):
+            step = _newton_step(alpha, n, x)
+            size = np.max(np.abs(step))
+            if size > 1e-6:
+                gaps = np.subtract.outer(x, np.append(x, 1.0))
+                np.fill_diagonal(gaps, np.inf)
+                step = step / (1.0 - step * np.sum(1.0 / gaps, axis=1))
+            x = x - step
+            if last <= 1e-9:
+                return np.sort(x)[::-1]
+            last = size
+    raise RootFindingError(f"Newton on q_n did not converge in {_NEWTON_PASSES} passes")
+
+
 def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
     """Right-endpoint Gauss-Radau abscissas: 1 and the roots of q_n, descending.
 
-    The interior roots are the Golub–Welsch eigenvalues after one Newton
-    polish on q_n.  The polish reads G_{n-1}, G_n and G_{n+1} from the
-    ring of a values-only pass and q_n' from them by the identity
-    (1 - x^2) G_j' = j (G_{j-1} - x G_j) (Szego, Orthogonal Polynomials,
-    1939, section 4.7), which loses digits near +-1: the correction is a
-    few ulps, so those digits do not reach the nodes.
+    Below n = _NEWTON_N the interior roots are the Golub–Welsch eigenvalues
+    after one Newton step (the polish); from _NEWTON_N on they come from
+    ``_asymptotic_newton``.  Both paths take their steps from
+    ``_newton_step`` and agree within 1.1e-16 where both were run
+    (-0.499 <= alpha <= 20, n <= 1024).
     """
     alpha, n = cfg.alpha, cfg.n
     if n == 0:
         return np.array([1.0])
-    x = _golub_welsch(alpha, n)
-    g_prev, g_n, g_next = _recurrence(alpha, n + 1, x, False)
-    slope = ((n + 1) * (g_n - x * g_next) - n * (g_prev - x * g_n)) / (1.0 - x * x)
-    nodes = np.concatenate(([1.0], x - (g_next - g_n) / slope))
+    if n < _NEWTON_N:
+        x = _golub_welsch(alpha, n)
+        x = x - _newton_step(alpha, n, x)
+    else:
+        x = _asymptotic_newton(alpha, n)
+    nodes = np.concatenate(([1.0], x))
     if not (np.all(np.diff(nodes) < 0) and nodes[-1] > -1.0):
         raise RootFindingError("computed nodes are not strictly descending in (-1, 1]")
     return nodes
@@ -226,7 +298,7 @@ def _barycentric_weights(cfg: BasisConfig, g: np.ndarray, weights: np.ndarray) -
 
         1/q_n'(x_k) = G_n(x_k) / (1/(C w_k) + G_n'(x_k) q_n(x_k))
 
-    with G_n' from the identity of the polish.  The polished nodes leave q_n
+    with G_n' from the identity of ``_newton_step``.  The polished nodes leave q_n
     a few ulps, not zero, so the last term stays, though its G_n' loses
     digits near -1; without it the weights are off by up to 1.3e-8.  At
     x = 1, where the identity is undefined, 1/q_n'(1) = (2a + 1)/(2n + 2a + 1).

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from laneps import basis
 from laneps.basis import (
+    _NEWTON_N,
     BasisConfig,
     NodeSet,
+    RootFindingError,
     _golub_welsch,
+    _newton_step,
     _recurrence,
     _squared_norms,
     christoffel_weights,
@@ -76,6 +80,28 @@ def _exact_bary(alpha, n, x):
                 g_prev, g, d_prev, d = (g, (2 * (k + a) * t * g - k * g_prev) / (k + 2 * a),
                                         d, (2 * (k + a) * (g + t * d) - k * d_prev) / (k + 2 * a))
             out.append(float(1 / (d - d_prev)))
+    return np.array(out)
+
+
+def _exact_roots(alpha, n, x):
+    """The roots of q_n nearest x, by one 40-digit Newton step from each.
+
+    x is within a few ulps of a root, so the step leaves an error near
+    |q_n''/q_n'| |x - root|^2, far below 1e-20.  Its q_n' comes from the
+    textbook loops in double precision: a relative error d in it moves the
+    step by d |x - root| only.
+    """
+    _, qd = _node_polynomial(alpha, n, x)
+    out = []
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        up = [2 * (k + a) / (k + 2 * a) for k in range(1, n + 1)]
+        down = [k / (k + 2 * a) for k in range(1, n + 1)]
+        for t, slope in zip(map(mpmath.mpf, x), qd):
+            g_prev, g = mpmath.mpf(1), t
+            for c, d in zip(up, down):
+                g_prev, g = g, c * t * g - d * g_prev
+            out.append(float(t - (g - g_prev) / slope))
     return np.array(out)
 
 
@@ -253,16 +279,60 @@ class TestNodes:
     @pytest.mark.parametrize("alpha", POLISH_ALPHAS)
     @pytest.mark.parametrize("n", POLISH_DEGREES)
     def test_polish_is_bit_identical_to_the_reference_newton_step(self, alpha, n):
-        """The identity's q_n' only scales a correction of a few ulps."""
+        """The identity's q_n' only scales a correction of a few ulps.
+
+        Every Newton step on q_n is ``_newton_step``; below _NEWTON_N the
+        nodes are one such step from the Golub–Welsch eigenvalues.
+        """
         x = _golub_welsch(alpha, n)
         q, qd = _node_polynomial(alpha, n, x)
-        assert np.array_equal(gauss_radau_nodes(BasisConfig(alpha, n))[1:], x - q / qd)
+        assert np.array_equal(x - _newton_step(alpha, n, x), x - q / qd)
+        if n < _NEWTON_N:
+            assert np.array_equal(gauss_radau_nodes(BasisConfig(alpha, n))[1:], x - q / qd)
+
+    @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.0, 0.5, 2.0, 5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_newton_nodes_match_mpmath_roots(self, alpha, n):
+        """Each node within 2 ulps of 1 of the 40-digit root of q_n next to it.
+
+        The asymptotic guesses are worst at the 8 nodes nearest each end
+        (2.4e-4 off at alpha = 20, n = 512); 8 interior nodes are checked too.
+        """
+        x = gauss_radau_nodes(BasisConfig(alpha, n))[1:]
+        idx = np.concatenate((np.arange(8), np.linspace(8, n - 9, 8).round().astype(int),
+                              np.arange(n - 8, n)))
+        assert np.max(np.abs(x[idx] - _exact_roots(alpha, n, x[idx]))) <= 2 * EPS
+
+    @pytest.mark.parametrize(("alpha", "n"), [(30.0, 256), (50.0, 512)])
+    def test_crossed_newton_iterates_are_sorted(self, alpha, n):
+        """From alpha = 22 on some iterates swap places; sorted, they are the roots."""
+        x = _golub_welsch(alpha, n)
+        polished = x - _newton_step(alpha, n, x)
+        nodes = gauss_radau_nodes(BasisConfig(alpha, n))
+        assert np.max(np.abs(nodes[1:] - polished)) <= 2 * EPS
+
+    def test_eigensolver_runs_only_below_the_switch(self, monkeypatch):
+        def refuse(alpha, n):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(basis, "_golub_welsch", refuse)
+        assert gauss_radau_nodes(BasisConfig(0.5, _NEWTON_N)).shape == (_NEWTON_N + 1,)
+        with pytest.raises(AssertionError, match="eigensolver called"):
+            gauss_radau_nodes(BasisConfig(0.5, _NEWTON_N - 1))
+
+    def test_newton_that_does_not_converge_raises_a_typed_error(self, monkeypatch):
+        """alpha = 20, n = 512 needs 7 passes; with 1 allowed, it raises and warns of nothing."""
+        monkeypatch.setattr(basis, "_NEWTON_PASSES", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RootFindingError, match="did not converge in 1 passes"):
+                gauss_radau_nodes(BasisConfig(20.0, 512))
 
     @pytest.mark.parametrize("alpha", [-0.499, 20.0])
     def test_polish_at_n_1024_raises_no_warning(self, alpha):
         """The identity divides by 1 - x^2, which the extreme nodes bring nearest 0.
 
-        The polish and the barycentric weights both read it.
+        The Newton steps and the barycentric weights both read it.
         """
         with warnings.catch_warnings():
             warnings.simplefilter("error")
