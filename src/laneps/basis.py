@@ -12,11 +12,12 @@ x = 1 together with the n roots of q_n = G_{n+1} - G_n.  Below n = 256 these
 are the Golub–Welsch eigenvalues of the Jacobi matrix after one Newton polish,
 an O(n^3) eigensolve; from n = 256 on they come from simultaneous Newton on
 q_n started at asymptotic guesses, O(n^2), which is the faster of the two
-there.  One private pass of the recurrence yields the values G_0 .. G_m, or
-the last three alone, and every evaluation goes through it; it forms the
-products 2 (k + a) x of 32 degrees at a time by one outer product and hands
-numpy its per-degree scalars as 0-d arrays, so each degree step makes four
-numpy calls.  Each Newton step on q_n is one pass for the last three values,
+there, or from the eigensolver where Newton does not converge.  One private
+pass of the recurrence yields the values G_0 .. G_m, or the last three
+alone, and every evaluation goes through it; it forms the products
+2 (k + a) x of 32 degrees at a time by one outer product and hands numpy
+its per-degree scalars as 0-d arrays, so each degree step makes four numpy
+calls.  Each Newton step on q_n is one pass for the last three values,
 from which it takes q_n' by a derivative identity: one step for the polish,
 2 to 7 from the guesses at alpha <= 20.  One more pass gives the table of
 G_0 .. G_{n+1} at the nodes (``node_table``), which the Christoffel weights
@@ -41,8 +42,7 @@ __all__ = [
 
 
 class RootFindingError(RuntimeError):
-    """Raised when Newton on q_n does not converge, or its roots are not strictly
-    descending in (-1, 1]."""
+    """Raised when the computed Gauss-Radau nodes are not strictly descending in (-1, 1]."""
 
 
 def _check_alpha(alpha: float) -> None:
@@ -62,8 +62,9 @@ _BLOCK = 32
 #: x86-64 host, numpy 2.4): 1.7-2.9 against 3.6-3.7 ms at n = 256, but
 #: 0.9-1.7 against 0.9-1.1 ms at n = 128.
 _NEWTON_N = 256
-#: Newton passes after which that path gives up.  From the guesses, alpha <= 2
-#: takes 3-4 passes, alpha = 20 takes 6-7 and alpha = 150 up to 20.
+#: Newton passes after which that path gives way to the eigensolver.  From the
+#: guesses, alpha <= 2 takes 3-4 passes, alpha = 20 takes 6-7 and alpha = 150
+#: up to 20; alpha = 100 at n = 256 does not converge.
 _NEWTON_PASSES = 24
 
 
@@ -207,8 +208,9 @@ def _newton_step(alpha: float, n: int, x: np.ndarray) -> np.ndarray:
     return (g_next - g_n) / slope
 
 
-def _asymptotic_newton(alpha: float, n: int) -> np.ndarray:
-    """The n roots of q_n, descending, by simultaneous Newton from asymptotic guesses.
+def _asymptotic_newton(alpha: float, n: int) -> np.ndarray | None:
+    """The n roots of q_n, descending, by simultaneous Newton from asymptotic
+    guesses; None if _NEWTON_PASSES passes do not converge.
 
     They are the Gauss nodes of the Jacobi weight of ``_golub_welsch``, with
     a = alpha + 1/2 and b = alpha - 1/2.  The guesses are the interior
@@ -249,7 +251,7 @@ def _asymptotic_newton(alpha: float, n: int) -> np.ndarray:
             if last <= 1e-9:
                 return np.sort(x)[::-1]
             last = size
-    raise RootFindingError(f"Newton on q_n did not converge in {_NEWTON_PASSES} passes")
+    return None
 
 
 def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
@@ -257,18 +259,18 @@ def gauss_radau_nodes(cfg: BasisConfig) -> np.ndarray:
 
     Below n = _NEWTON_N the interior roots are the Golub–Welsch eigenvalues
     after one Newton step (the polish); from _NEWTON_N on they come from
-    ``_asymptotic_newton``.  Both paths take their steps from
-    ``_newton_step`` and agree within 1.1e-16 where both were run
+    ``_asymptotic_newton``, and from the polished eigenvalues where that
+    does not converge (alpha = 100 at n = 256).  Both paths take their
+    steps from ``_newton_step`` and agree within 1.1e-16 where both were run
     (-0.499 <= alpha <= 20, n <= 1024).
     """
     alpha, n = cfg.alpha, cfg.n
     if n == 0:
         return np.array([1.0])
-    if n < _NEWTON_N:
+    x = _asymptotic_newton(alpha, n) if n >= _NEWTON_N else None
+    if x is None:
         x = _golub_welsch(alpha, n)
         x = x - _newton_step(alpha, n, x)
-    else:
-        x = _asymptotic_newton(alpha, n)
     nodes = np.concatenate(([1.0], x))
     if not (np.all(np.diff(nodes) < 0) and nodes[-1] > -1.0):
         raise RootFindingError("computed nodes are not strictly descending in (-1, 1]")

@@ -39,14 +39,17 @@ J v, with no J formed, to an inexact-Newton forcing term; a step that GMRES
 misses within _GMRES_MAXITER iterations takes the LU step on the dense J,
 which is formed only then.  Every other Newton step, and the linear step,
 is LU.  Newton stops when the residual or the step falls to _NEWTON_TOL.
-When the full step is rejected, z counts as converged at the rounding floor
-if max|F(z)| is at the rounding level of evaluating F (4 eps times the
-largest row of |H||Phi| + |f| + |a1*a2/x|, or of the border row's terms) and
-that Newton step is below sqrt(eps)*max|z|.  Otherwise the line search halves
-the step, and if it stalls NonlinearSolveError is raised, as it is when f_y
-is not finite at an iterate.  Each residual evaluation returns F and the y it
-was formed from; the Newton step is taken at that y, and the result reports
-the y and F of the accepted iterate, so y is formed once per iterate.
+It also stops at the rounding floor, the rounding level of evaluating F
+(4 eps times the largest row of |H||Phi| + |f| + |a1*a2/x|, or of the
+border row's terms), once a full Newton step below sqrt(eps)*max|z| is
+taken or rejected there: if the step is accepted and max|F| at the new
+iterate is within its floor, the run ends there; if it is rejected and
+max|F(z)| is within its floor, the run ends at z.  Otherwise a rejected
+step is halved by the line search, and if that stalls NonlinearSolveError
+is raised, as it is when f_y is not finite at an iterate.  Each residual
+evaluation returns F and the y it was formed from; the Newton step is taken
+at that y, and the result reports the y and F of the accepted iterate, so y
+is formed once per iterate.
 One error state covers the whole solve (the operators, p and g, f and f_y):
 a value that overflows to inf or NaN becomes the typed error of the
 finiteness test that sees it, never a RuntimeWarning; a linear step that is
@@ -55,7 +58,9 @@ reported as inf.  The linear step and kappa_inf share one
 LU factorization: J is solved against [-F(0) | I], whose first column is the
 step and whose rest is J^-1 (inversion by solves against the identity; Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec.
-14.3).  An exactly singular linear J (p = 0 with beta = 0 leaves y(0) free)
+14.3); a border row that outweighs every entry of H, as Q2 of size b^2
+does for a huge b, is first scaled by a power of two so that pivoting
+takes it last.  An exactly singular linear J (p = 0 with beta = 0 leaves y(0) free)
 raises numpy.linalg.LinAlgError.  Inside Newton an exactly singular J gets
 the minimum-norm least-squares step, and the residual test judges where it
 leads: a start with f_y = 0 everywhere and beta = 0 needs that step.
@@ -83,9 +88,9 @@ __all__ = [
 _NEWTON_TOL = 1e-13
 _NEWTON_MAXITER = 200
 _ARMIJO_HALVINGS = 30
-#: A rejected full step ends the run at the current iterate if max|F| <=
-#: _FLOOR_FACTOR * eps * (largest row of |terms| of F) and max|step| <=
-#: _STEP_RTOL * max|z|; otherwise the line search halves it.
+#: A full step, accepted or rejected, ends the run at the iterate it leaves
+#: if there max|step| <= _STEP_RTOL * max|z| and max|F| <= _FLOOR_FACTOR *
+#: eps * (largest row of |terms| of F); otherwise a rejected step is halved.
 _FLOOR_FACTOR = 4.0
 _STEP_RTOL = math.sqrt(np.finfo(float).eps)
 #: A nonlinear solve at n >= _FINE_N = 8 * _COARSE_N starts Newton from the
@@ -247,14 +252,31 @@ def _step_and_condition(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, flo
     """The step a^-1 rhs and the infinity-norm condition number of a, from one
     factorization; an exactly singular a raises numpy.linalg.LinAlgError and
     a step that is not finite ValueError.  The condition number overflows to
-    inf beyond the double range, in the caller's error state."""
+    inf beyond the double range, in the caller's error state.
+
+    The last row of a, the border row, holds Q2 on [0, b], of size b^2,
+    against entries near 1 in H.  Where its largest entry exceeds every
+    entry of the other rows, partial pivoting would take it early and spread
+    its right-hand side over Phi.  That row of a and of [rhs | I] is then
+    scaled in place by a power of two to below 1, the size of H's identity
+    part; this rounds nothing and changes no solution.  For y = 1 on
+    b in {1e10, 1e50, 1e100, 1e154} and nine n from 8 to 512, y comes back
+    exact, where unscaled it was up to 228 ulps off.
+    """
+    size = np.abs(a)
+    norm, rest, border = size.sum(axis=1).max(), size[:-1].max(), size[-1].max()
+    del size  # before the solve's copies, which set the peak
     block = np.zeros((rhs.size, rhs.size + 1))
     block[:, 0] = rhs
     np.fill_diagonal(block[:, 1:], 1.0)
+    if rest < border < math.inf:
+        exponent = -math.frexp(border)[1]
+        np.ldexp(a[-1], exponent, out=a[-1])
+        np.ldexp(block[-1], exponent, out=block[-1])
     sol = np.linalg.solve(a, block)
     if not np.isfinite(sol[:, 0]).all():
         raise ValueError("the linear step is not finite: the bordered system overflows")
-    kappa = np.abs(a).sum(axis=1).max() * np.abs(sol[:, 1:]).sum(axis=1).max()
+    kappa = norm * np.abs(sol[:, 1:]).sum(axis=1).max()
     return sol[:, 0].copy(), float(kappa)
 
 
@@ -264,10 +286,14 @@ def _damped_newton(residual_fn, step_fn, scale_fn, z0: np.ndarray):
     ``residual_fn(z)`` returns F(z) and the node values y it was formed from;
     ``step_fn(F, y, max|F|)`` returns the Newton step -J^-1 F there, and
     ``scale_fn(z, y)`` is the largest row sum of the magnitudes of the terms
-    of F(z), which sets its rounding floor.  When the full step is rejected,
-    z is accepted as converged at that floor if max|F(z)| is within it and
-    the step is below sqrt(eps)*max|z|; otherwise the line search halves the
-    step, and raises NonlinearSolveError if it stalls.  In the caller's error
+    of F(z), which sets its rounding floor.  A full step below
+    sqrt(eps)*max|z| ends the run at the rounding floor: when it is accepted
+    and the new iterate's max|F| is within that iterate's floor, or when it
+    is rejected and max|F(z)| is within z's floor.  Without the first exit a
+    run below the floor but above _NEWTON_TOL takes roundoff-sized steps for
+    as long as each lowers max|F| a little, as many as rounding decides.  A
+    rejected step that does not end the run is halved by the line search,
+    which raises NonlinearSolveError if it stalls.  In the caller's error
     state f and f_y may overflow at the start or at a trial step, and the
     finiteness tests turn that into a rejected trial or a
     NonlinearSolveError.  Returns z, F(z) and y of the accepted iterate, the
@@ -279,6 +305,13 @@ def _damped_newton(residual_fn, step_fn, scale_fn, z0: np.ndarray):
     fnorm = float(np.abs(fval).max())
     if not math.isfinite(fnorm):
         raise NonlinearSolveError("residual not finite at the initial guess")
+
+    def at_floor(z, y, fnorm, step_norm):
+        # the full step taken or rejected at z is roundoff-sized, and F(z) is
+        # at its rounding floor: the run ends at z
+        return (step_norm <= _STEP_RTOL * np.abs(z).max()
+                and fnorm <= _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y))
+
     for it in range(1, _NEWTON_MAXITER + 1):
         if fnorm <= _NEWTON_TOL:
             return z, fval, y, it - 1, steps
@@ -291,9 +324,8 @@ def _damped_newton(residual_fn, step_fn, scale_fn, z0: np.ndarray):
             f_trial_norm = float(np.abs(f_trial).max())
             if math.isfinite(f_trial_norm) and f_trial_norm <= (1.0 - 1e-4 * t) * fnorm:
                 break
-            if t == 1.0 and np.abs(step).max() <= _STEP_RTOL * np.abs(z).max():
-                if fnorm <= _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y):
-                    return z, fval, y, it - 1, steps
+            if t == 1.0 and at_floor(z, y, fnorm, np.abs(step).max()):
+                return z, fval, y, it - 1, steps
             t *= 0.5
         else:
             floor = _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y)
@@ -303,7 +335,8 @@ def _damped_newton(residual_fn, step_fn, scale_fn, z0: np.ndarray):
             )
         z, fval, y, fnorm = trial, f_trial, y_trial, f_trial_norm
         steps.append(float(np.abs(taken).max()))
-        if steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL:
+        if (steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL
+                or t == 1.0 and at_floor(z, y, fnorm, steps[-1])):
             return z, fval, y, it, steps
     raise NonlinearSolveError(
         f"no convergence within {_NEWTON_MAXITER} iterations (residual {fnorm:.3e})"

@@ -13,7 +13,6 @@ from laneps.basis import (
     _NEWTON_N,
     BasisConfig,
     NodeSet,
-    RootFindingError,
     _golub_welsch,
     _newton_step,
     _recurrence,
@@ -320,13 +319,20 @@ class TestNodes:
         with pytest.raises(AssertionError, match="eigensolver called"):
             gauss_radau_nodes(BasisConfig(0.5, _NEWTON_N - 1))
 
-    def test_newton_that_does_not_converge_raises_a_typed_error(self, monkeypatch):
-        """alpha = 20, n = 512 needs 7 passes; with 1 allowed, it raises and warns of nothing."""
-        monkeypatch.setattr(basis, "_NEWTON_PASSES", 1)
+    @pytest.mark.parametrize(("alpha", "n", "passes"), [(20.0, 512, 1), (100.0, 256, None)])
+    def test_newton_that_does_not_converge_gives_way_to_the_eigensolver(
+            self, monkeypatch, alpha, n, passes):
+        """alpha = 20, n = 512 needs 7 passes, and alpha = 100, n = 256 does not
+        converge in _NEWTON_PASSES; the nodes are then the polished eigenvalues,
+        with no warning from the diverged iterates."""
+        if passes is not None:
+            monkeypatch.setattr(basis, "_NEWTON_PASSES", passes)
+        x = _golub_welsch(alpha, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RootFindingError, match="did not converge in 1 passes"):
-                gauss_radau_nodes(BasisConfig(20.0, 512))
+            assert basis._asymptotic_newton(alpha, n) is None
+            nodes = gauss_radau_nodes(BasisConfig(alpha, n))
+        assert np.array_equal(nodes[1:], x - _newton_step(alpha, n, x))
 
     @pytest.mark.parametrize("alpha", [-0.499, 20.0])
     def test_polish_at_n_1024_raises_no_warning(self, alpha):

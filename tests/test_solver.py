@@ -348,6 +348,20 @@ class TestNewton:
         solve_problem(spec, 512, 2.0)
         assert calls["f"] <= 12
 
+    @pytest.mark.parametrize("ex_id", [2, 4])
+    def test_accepted_roundoff_step_onto_the_rounding_floor_ends_the_run(self, ex_id):
+        """At alpha = 2, n = 512 the coarse start sits below the rounding floor
+        (about 1.3e-11) but above _NEWTON_TOL, and each roundoff-sized step
+        still lowers max|F| a little.  Ending the run once such a full step
+        lands on the floor takes rounding out of the count: over
+        delta (1 + k eps), k = 0 .. 23, runs that took up to 5 iterations take
+        at most 1."""
+        spec = get_example(ex_id).spec
+        eps = np.finfo(float).eps
+        for k in range(8):
+            drawn = dataclasses.replace(spec, delta=spec.delta * (1.0 + k * eps))
+            assert solve_problem(drawn, 512, 2.0).newton_iters <= 1
+
     def test_start_at_the_root_takes_no_roundoff_steps(self):
         # Example 4 at alpha = 3, n = 512 starts near the root from the coarse
         # run.  Roundoff-sized steps from there (4 fine iterations, 20 from a
@@ -685,18 +699,20 @@ class TestValidation:
     @pytest.mark.parametrize("b", [1e100, 1e154])
     @pytest.mark.parametrize("n", [8, 300])
     def test_huge_interval_solves_without_warning(self, kind, b, n):
-        """Q2 on [0, b] reaches b^2; kappa_inf beyond the double range reads inf.
-
-        The border row holds b^2 against entries near 1 in H, so y = 1 comes
-        back with a rounding error that the node bits decide: between 0 and
-        98 ulps over b in {1e10, 1e50, 1e100, 1e154} and n from 200 to 512,
-        never above n ulps.
-        """
+        """Q2 on [0, b] reaches b^2; kappa_inf beyond the double range reads inf."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = solve_problem(self._constant_solution(kind, b), n, 0.5)
-        assert np.max(np.abs(r.y_nodes - 1.0)) <= n * np.finfo(float).eps
+        assert np.max(np.abs(r.y_nodes - 1.0)) <= 4 * np.finfo(float).eps
         assert r.kappa_inf == (np.inf if kind == "linear" else None)
+
+    @pytest.mark.parametrize(("b", "n"), [(1e10, 255), (1e50, 511), (1e100, 300)])
+    def test_dominant_border_row_leaves_y_exact(self, b, n):
+        """The border row of size b^2 outweighs H, so it is scaled by a power of
+        two to below 1; partial pivoting then takes it last and Phi = 0 comes
+        back exact.  Pivoted on early, it left y 98, 228 and 35 ulps off."""
+        r = solve_problem(self._constant_solution("linear", b), n, 0.5)
+        assert np.array_equal(r.y_nodes, np.ones(n + 1))
 
     @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
     @pytest.mark.parametrize("b", [1e160, 1e300])
