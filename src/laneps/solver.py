@@ -18,12 +18,12 @@ z = (Phi, y0), where y0 = y(0) and
 
 with y(b) = y0 + a1*b + Q2[0] Phi and y'(b) = a1 + Q1[0] Phi, since the first
 node is b.  The IntegrationOperators do not depend on b: each solve maps
-their standard nodes onto [0, b], where Q1 and Q2 are the matrices.  It
-writes (b/2) Q1 from the standard Q1 into one buffer, forms Q2 as
-(x_i - x_k) times it, and then turns that buffer into H in place.  The border
-row is linear in z, so J is H + f_y * Q2 bordered by the column f_y and the
-row (beta*Q2[0] + gamma*Q1[0], beta); the pure-derivative condition
-(beta = 0) is the same rows with beta = 0.  A
+their standard nodes onto [0, b], where Q1 and Q2 are the matrices.  The
+border row is linear in z, so J is H + f_y * Q2 bordered by the column f_y and
+the row (beta*Q2[0] + gamma*Q1[0], beta); the pure-derivative condition
+(beta = 0) is the same rows with beta = 0.  Each solve builds one
+_BorderedSystem, the one place that forms H, Q2, |H| and J; its methods give
+F, the Newton steps and the rounding floor of F.  A
 linear problem is solved by one exact Newton step from z = 0; a nonlinear one
 by one damped Newton run.  Below n = 256 that run starts from Phi = 0 and the
 y0 that meets the border row there, (delta - (beta*b + gamma)*a1)/beta, or
@@ -38,15 +38,10 @@ The fine run at n >= 256 takes each Newton step from matrix-free GMRES on
 J v, with no J formed, to an inexact-Newton forcing term; a step that GMRES
 misses within _GMRES_MAXITER iterations takes the LU step on the dense J,
 which is formed only then.  Every other Newton step, and the linear step,
-is LU.  Newton stops when the residual or the step falls to _NEWTON_TOL.
-It also stops at the rounding floor, the rounding level of evaluating F
-(4 eps times the largest row of |H||Phi| + |f| + |a1*a2/x|, or of the
-border row's terms), once a full Newton step below sqrt(eps)*max|z| is
-taken or rejected there: if the step is accepted and max|F| at the new
-iterate is within its floor, the run ends there; if it is rejected and
-max|F(z)| is within its floor, the run ends at z.  Otherwise a rejected
-step is halved by the line search, and if that stalls NonlinearSolveError
-is raised, as it is when f_y is not finite at an iterate.  Each residual
+is LU.  Newton stops when the residual or the step falls to _NEWTON_TOL, or
+at the rounding floor of F by the rule of _damped_newton; a line search
+that stalls raises NonlinearSolveError, as does an f_y that is not finite at
+an iterate.  Each residual
 evaluation returns F and the y it was formed from; the Newton step is taken
 at that y, and the result reports the y and F of the accepted iterate, so y
 is formed once per iterate.
@@ -58,15 +53,14 @@ reported as inf.  The linear step and kappa_inf share one
 LU factorization: J is solved against [-F(0) | I], whose first column is the
 step and whose rest is J^-1 (inversion by solves against the identity; Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec.
-14.3); a border row that outweighs every entry of H, as Q2 of size b^2
-does for a huge b, is first scaled by a power of two so that pivoting
-takes it last.  An exactly singular linear J (p = 0 with beta = 0 leaves y(0) free)
+14.3).  An exactly singular linear J (p = 0 with beta = 0 leaves y(0) free)
 raises numpy.linalg.LinAlgError.  Inside Newton an exactly singular J gets
 the minimum-norm least-squares step, and the residual test judges where it
 leads: a start with f_y = 0 everywhere and beta = 0 needs that step.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -88,9 +82,7 @@ __all__ = [
 _NEWTON_TOL = 1e-13
 _NEWTON_MAXITER = 200
 _ARMIJO_HALVINGS = 30
-#: A full step, accepted or rejected, ends the run at the iterate it leaves
-#: if there max|step| <= _STEP_RTOL * max|z| and max|F| <= _FLOOR_FACTOR *
-#: eps * (largest row of |terms| of F); otherwise a rejected step is halved.
+#: The rounding floor of F and the roundoff-sized step of _damped_newton.
 _FLOOR_FACTOR = 4.0
 _STEP_RTOL = math.sqrt(np.finfo(float).eps)
 #: A nonlinear solve at n >= _FINE_N = 8 * _COARSE_N starts Newton from the
@@ -194,14 +186,6 @@ class SolverResult:
         return np.where(x == 0.0, self.y0, interpolate(self.nodeset, self.y_nodes, x))
 
 
-def _linear_step(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Direct solve; minimum-norm least squares only for an exactly singular a."""
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, rhs, rcond=None)[0]
-
-
 def _gmres(matvec, rhs: np.ndarray, rtol: float, basis: np.ndarray) -> np.ndarray | None:
     """Unrestarted GMRES from 0 for A x = rhs (Saad & Schultz, SIAM J. Sci.
     Stat. Comput. 7, 1986), with CGS2 Arnoldi and Givens rotations.
@@ -248,200 +232,98 @@ def _gmres(matvec, rhs: np.ndarray, rtol: float, basis: np.ndarray) -> np.ndarra
     return None
 
 
-def _step_and_condition(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """The step a^-1 rhs and the infinity-norm condition number of a, from one
-    factorization; an exactly singular a raises numpy.linalg.LinAlgError and
-    a step that is not finite ValueError.  The condition number overflows to
-    inf beyond the double range, in the caller's error state.
+class _BorderedSystem:
+    """The system F(z) = 0 of one solve on the nodes of ``ops`` mapped onto
+    [0, b], with its Jacobian J, Newton steps and rounding floor.
 
-    The last row of a, the border row, holds Q2 on [0, b], of size b^2,
-    against entries near 1 in H.  Where its largest entry exceeds every
-    entry of the other rows, partial pivoting would take it early and spread
-    its right-hand side over Phi.  That row of a and of [rhs | I] is then
-    scaled in place by a power of two to below 1, the size of H's identity
-    part; this rounds nothing and changes no solution.  For y = 1 on
-    b in {1e10, 1e50, 1e100, 1e154} and nine n from 8 to 512, y comes back
-    exact, where unscaled it was up to 228 ulps off.
+    Set-up writes (b/2) Q1 from the standard Q1 into one buffer, forms Q2 as
+    (x_i - x_k) times it, and then turns that buffer into H in place.  |H|
+    and the Krylov workspace are formed when a method first needs them, and
+    J, in its one buffer, only for an LU step.  Set-up raises for p or g not
+    finite at a node, and for a nonlinear spec without f_y.
     """
-    size = np.abs(a)
-    norm, rest, border = size.sum(axis=1).max(), size[:-1].max(), size[-1].max()
-    del size  # before the solve's copies, which set the peak
-    block = np.zeros((rhs.size, rhs.size + 1))
-    block[:, 0] = rhs
-    np.fill_diagonal(block[:, 1:], 1.0)
-    if rest < border < math.inf:
-        exponent = -math.frexp(border)[1]
-        np.ldexp(a[-1], exponent, out=a[-1])
-        np.ldexp(block[-1], exponent, out=block[-1])
-    sol = np.linalg.solve(a, block)
-    if not np.isfinite(sol[:, 0]).all():
-        raise ValueError("the linear step is not finite: the bordered system overflows")
-    kappa = norm * np.abs(sol[:, 1:]).sum(axis=1).max()
-    return sol[:, 0].copy(), float(kappa)
 
-
-def _damped_newton(residual_fn, step_fn, scale_fn, z0: np.ndarray):
-    """Newton iteration with Armijo backtracking on the max-norm residual.
-
-    ``residual_fn(z)`` returns F(z) and the node values y it was formed from;
-    ``step_fn(F, y, max|F|)`` returns the Newton step -J^-1 F there, and
-    ``scale_fn(z, y)`` is the largest row sum of the magnitudes of the terms
-    of F(z), which sets its rounding floor.  A full step below
-    sqrt(eps)*max|z| ends the run at the rounding floor: when it is accepted
-    and the new iterate's max|F| is within that iterate's floor, or when it
-    is rejected and max|F(z)| is within z's floor.  Without the first exit a
-    run below the floor but above _NEWTON_TOL takes roundoff-sized steps for
-    as long as each lowers max|F| a little, as many as rounding decides.  A
-    rejected step that does not end the run is halved by the line search,
-    which raises NonlinearSolveError if it stalls.  In the caller's error
-    state f and f_y may overflow at the start or at a trial step, and the
-    finiteness tests turn that into a rejected trial or a
-    NonlinearSolveError.  Returns z, F(z) and y of the accepted iterate, the
-    iteration count and the step norms.
-    """
-    z = np.asarray(z0, dtype=float).copy()
-    steps: list[float] = []
-    fval, y = residual_fn(z)
-    fnorm = float(np.abs(fval).max())
-    if not math.isfinite(fnorm):
-        raise NonlinearSolveError("residual not finite at the initial guess")
-
-    def at_floor(z, y, fnorm, step_norm):
-        # the full step taken or rejected at z is roundoff-sized, and F(z) is
-        # at its rounding floor: the run ends at z
-        return (step_norm <= _STEP_RTOL * np.abs(z).max()
-                and fnorm <= _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y))
-
-    for it in range(1, _NEWTON_MAXITER + 1):
-        if fnorm <= _NEWTON_TOL:
-            return z, fval, y, it - 1, steps
-        step = step_fn(fval, y, fnorm)
-        t = 1.0
-        for _ in range(_ARMIJO_HALVINGS + 1):
-            taken = step if t == 1.0 else t * step
-            trial = z + taken
-            f_trial, y_trial = residual_fn(trial)
-            f_trial_norm = float(np.abs(f_trial).max())
-            if math.isfinite(f_trial_norm) and f_trial_norm <= (1.0 - 1e-4 * t) * fnorm:
-                break
-            if t == 1.0 and at_floor(z, y, fnorm, np.abs(step).max()):
-                return z, fval, y, it - 1, steps
-            t *= 0.5
+    def __init__(self, spec: ProblemSpec, ops: IntegrationOperators):
+        self.spec, self.nodeset = spec, shift_nodeset(ops.standard, spec.b)
+        self.x, self.q1, self.half_b = x, q1, half_b = self.nodeset.nodes, ops.q1, spec.b / 2.0
+        self.m = m = x.size
+        _check_degree(m - 1)
+        self.h = h = half_b * q1  # Q1 on [0, b], then H = I + a2 * Q1 / x in this one buffer
+        self.q2 = q2 = np.subtract.outer(x, x)
+        q2 *= h
+        # The border row beta*y(b) + gamma*y'(b) - delta = top Phi + beta*y0 + border.
+        self.beta = beta = spec.beta
+        self.top = beta * q2[0] + spec.gamma * h[0]
+        self.border = beta * spec.alpha1 * spec.b + spec.gamma * spec.alpha1 - spec.delta
+        h /= x[:, None]
+        h *= spec.alpha2
+        h.reshape(-1)[:: m + 1] += 1.0
+        self.sing, self.a1x = spec.alpha1 * spec.alpha2 / x, spec.alpha1 * x
+        if spec.kind == "linear":
+            self.p = pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
+            gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
+            for name, vals in (("p", pvals), ("g", gvals)):
+                if not np.isfinite(vals).all():
+                    raise ValueError(f"{name}(x) is not finite at every node")
+            self.f = lambda _, y: pvals * y - gvals
+        elif spec.dfdy is None:  # there is no difference-quotient fallback
+            raise NonlinearSolveError("nonlinear problems require dfdy = f_y for the Jacobian")
         else:
-            floor = _FLOOR_FACTOR * np.finfo(float).eps * scale_fn(z, y)
-            raise NonlinearSolveError(
-                f"line search stalled at iteration {it} "
-                f"(residual {fnorm:.3e}, rounding floor {floor:.3e})"
-            )
-        z, fval, y, fnorm = trial, f_trial, y_trial, f_trial_norm
-        steps.append(float(np.abs(taken).max()))
-        if (steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL
-                or t == 1.0 and at_floor(z, y, fnorm, steps[-1])):
-            return z, fval, y, it, steps
-    raise NonlinearSolveError(
-        f"no convergence within {_NEWTON_MAXITER} iterations (residual {fnorm:.3e})"
-    )
+            self.f, self.dfdy = spec.f, spec.dfdy
+        self.jac = np.empty((m + 1, m + 1))  # its pages are touched only when J is formed
 
-
-def _newton_start(spec: ProblemSpec, nodeset: NodeSet):
-    """(seed degree, z0): from n = _FINE_N on, the degree-_COARSE_N
-    solution on the nodes of ``nodeset``; below that, or if it fails, (None,
-    (0, y0*)) with y0* the y(0) that meets the border row at Phi = 0."""
-    m = nodeset.nodes.size
-    if m - 1 >= _FINE_N:
-        coarse_ops = build_operators(BasisConfig(nodeset.alpha, _COARSE_N))
-        try:
-            coarse = solve(spec, coarse_ops)
-        except (NonlinearSolveError, ArithmeticError):
-            pass
-        else:
-            return _COARSE_N, np.append(interpolate(coarse.nodeset, coarse.phi, nodeset.nodes),
-                                        coarse.y0)
-    z0 = np.zeros(m + 1)
-    if spec.beta != 0:
-        z0[m] = (spec.delta - (spec.beta * spec.b + spec.gamma) * spec.alpha1) / spec.beta
-    return None, z0
-
-
-def _check_degree(n: int) -> None:
-    if n < 1:  # the one-node rule collocates at b alone and returns a wrong y0
-        raise ValueError(f"n must be at least 1, got {n}")
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the finiteness tests reject overflow
-def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
-    """Solve F(z) = 0 for z = (Phi, y0) on the nodes of ``ops`` mapped onto [0, b]."""
-    nodeset = shift_nodeset(ops.standard, spec.b)
-    x, q1, half_b = nodeset.nodes, ops.q1, spec.b / 2.0
-    m = x.size
-    _check_degree(m - 1)
-    h = half_b * q1  # Q1 on [0, b], then H = I + a2 * Q1 / x in this one buffer
-    q2 = np.subtract.outer(x, x)
-    q2 *= h
-    # The border row beta*y(b) + gamma*y'(b) - delta = top Phi + beta*y0 + border.
-    beta = spec.beta
-    top = beta * q2[0] + spec.gamma * h[0]
-    border = beta * spec.alpha1 * spec.b + spec.gamma * spec.alpha1 - spec.delta
-    h /= x[:, None]
-    h *= spec.alpha2
-    h.reshape(-1)[:: m + 1] += 1.0
-    sing = spec.alpha1 * spec.alpha2 / x
-    a1x = spec.alpha1 * x
-    if spec.kind == "linear":
-        pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
-        gvals = np.broadcast_to(np.asarray(spec.g(x), dtype=float), x.shape)
-        for name, vals in (("p", pvals), ("g", gvals)):
-            if not np.isfinite(vals).all():
-                raise ValueError(f"{name}(x) is not finite at every node")
-
-        def f(_, y):
-            return pvals * y - gvals
-    elif spec.dfdy is None:  # there is no difference-quotient fallback
-        raise NonlinearSolveError("nonlinear problems require dfdy = f_y for the Jacobian")
-    else:
-        f, dfdy = spec.f, spec.dfdy
-
-    def residual(z):
-        # F(z) and the y = y0 + a1*x + Q2 Phi it was formed from.
+    def residual(self, z):
+        """F(z) and the y = y0 + a1*x + Q2 Phi it was formed from."""
+        m = self.m
         phi = z[:m]
-        y = z[m] + a1x + q2 @ phi
+        y = z[m] + self.a1x + self.q2 @ phi
         fz = np.empty(m + 1)
         rows = fz[:m]
-        np.matmul(h, phi, out=rows)
-        rows += f(x, y)
-        rows += sing
-        fz[m] = top @ phi + beta * z[m] + border
+        np.matmul(self.h, phi, out=rows)
+        rows += self.f(self.x, y)
+        rows += self.sing
+        fz[m] = self.top @ phi + self.beta * z[m] + self.border
         return fz, y
 
-    def finite_fy(y):
-        fy = dfdy(x, y)
+    def finite_fy(self, y):
+        fy = self.dfdy(self.x, y)
         finite = np.isfinite(fy)
         if not finite.all():
-            raise NonlinearSolveError(f"f_y not finite at x = {float(x[~finite][0]):.17g}")
+            raise NonlinearSolveError(f"f_y not finite at x = {float(self.x[~finite][0]):.17g}")
         return fy
 
-    jac = np.empty((m + 1, m + 1))  # its pages are touched only when J is formed
-
-    def jacobian(fy):
-        # [[H + f_y * Q2, f_y], border row], overwriting the one J of this solve.
-        np.multiply(fy[:, None], q2, out=jac[:m, :m])
-        jac[:m, :m] += h
+    def jacobian(self, fy):
+        """[[H + f_y * Q2, f_y], border row], overwriting the one J of this solve."""
+        m, jac = self.m, self.jac
+        np.multiply(fy[:, None], self.q2, out=jac[:m, :m])
+        jac[:m, :m] += self.h
         jac[:m, m] = fy
-        jac[m, :m] = top
-        jac[m, m] = beta
+        jac[m, :m] = self.top
+        jac[m, m] = self.beta
         return jac
 
-    def lu_step(fz, y, _):
-        return _linear_step(jacobian(finite_fy(y)), -fz)
+    def lu_step(self, fz, fy, _fnorm=None):
+        """-J^-1 F by LU; the minimum-norm least-squares step only for an
+        exactly singular J."""
+        jac = self.jacobian(fy)
+        try:
+            return np.linalg.solve(jac, -fz)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(jac, -fz, rcond=None)[0]
 
-    def krylov_step(fz, y, fnorm):
-        # Matrix-free J v = (H v_Phi + f_y (Q2 v_Phi + v_y0), top v_Phi + beta v_y0),
-        # solved to the inexact-Newton forcing term (Eisenstat & Walker, SIAM J.
-        # Sci. Comput. 17, 1996); a step GMRES misses within its cap takes LU.
-        # Q2[i, k] = (x_i - x_k) Q1[i, k], so H v_Phi and Q2 v_Phi come from
-        # one product of the standard Q1 with the two columns (v_Phi, x v_Phi),
-        # scaled by b/2.
-        fy = finite_fy(y)
+    @functools.cached_property
+    def krylov_basis(self):
+        return np.empty((_GMRES_MAXITER + 1, self.m + 1))  # one workspace for the run
+
+    def krylov_step(self, fz, fy, fnorm):
+        """-J^-1 F from matrix-free GMRES on J v = (H v_Phi + f_y (Q2 v_Phi +
+        v_y0), top v_Phi + beta v_y0), solved to the inexact-Newton forcing
+        term (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996); a step
+        GMRES misses within its cap takes LU.  Q2[i, k] = (x_i - x_k) Q1[i, k],
+        so H v_Phi and Q2 v_Phi come from one product of the standard Q1 with
+        the two columns (v_Phi, x v_Phi), scaled by b/2."""
+        m, x, q1, half_b, top, beta = self.m, self.x, self.q1, self.half_b, self.top, self.beta
+        a2x = self.spec.alpha2 / x
 
         def jvp(v, out):
             phi, rows = v[:m], out[:m]
@@ -455,38 +337,155 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
             out[m] = top @ phi + beta * v[m]
 
         eta = min(0.1, max(1e-10, 0.1 * _NEWTON_TOL / fnorm))
-        step = _gmres(jvp, -fz, eta, basis)
-        return _linear_step(jacobian(fy), -fz) if step is None else step
+        step = _gmres(jvp, -fz, eta, self.krylov_basis)
+        return self.lu_step(fz, fy) if step is None else step
 
-    def scale(z, y):
-        rows = np.abs(h) @ np.abs(z[:m]) + np.abs(f(x, y)) + np.abs(sing)
-        last = np.abs(top) @ np.abs(z[:m]) + abs(beta * z[m]) + abs(border)
+    @functools.cached_property
+    def abs_h(self):
+        return np.abs(self.h)
+
+    def scale(self, z, y):
+        """The largest row sum of the magnitudes of the terms of F(z), which
+        sets its rounding floor."""
+        size = np.abs(z[:self.m])
+        rows = self.abs_h @ size + np.abs(self.f(self.x, y)) + np.abs(self.sing)
+        last = np.abs(self.top) @ size + abs(self.beta * z[self.m]) + abs(self.border)
         return float(max(rows.max(), last))
 
+    def linear_step(self):
+        """The exact Newton step from z = 0 of a linear problem and the
+        infinity-norm condition number of J, from one factorization; an
+        exactly singular J raises numpy.linalg.LinAlgError and a step that is
+        not finite ValueError.  The condition number overflows to inf beyond
+        the double range, in the caller's error state.
+
+        The last row of J, the border row, holds Q2 on [0, b], of size b^2,
+        against entries near 1 in H.  Where its largest entry exceeds every
+        entry of the other rows, partial pivoting would take it early and
+        spread its right-hand side over Phi.  That row of J and of [-F(0) | I]
+        is then scaled in place by a power of two to below 1, the size of H's
+        identity part; this rounds nothing and changes no solution.  For y = 1
+        on b in {1e10, 1e50, 1e100, 1e154} and nine n from 8 to 512, y comes
+        back exact, where unscaled it was up to 228 ulps off.
+        """
+        a, rhs = self.jacobian(self.p), -self.residual(np.zeros(self.m + 1))[0]
+        size = np.abs(a)
+        norm, rest, border = size.sum(axis=1).max(), size[:-1].max(), size[-1].max()
+        del size  # before the solve's copies, which set the peak
+        block = np.zeros((rhs.size, rhs.size + 1))
+        block[:, 0] = rhs
+        np.fill_diagonal(block[:, 1:], 1.0)
+        if rest < border < math.inf:
+            exponent = -math.frexp(border)[1]
+            np.ldexp(a[-1], exponent, out=a[-1])
+            np.ldexp(block[-1], exponent, out=block[-1])
+        sol = np.linalg.solve(a, block)
+        if not np.isfinite(sol[:, 0]).all():
+            raise ValueError("the linear step is not finite: the bordered system overflows")
+        kappa = norm * np.abs(sol[:, 1:]).sum(axis=1).max()
+        return sol[:, 0].copy(), float(kappa)
+
+    def newton_start(self):
+        """(seed degree, z0): from n = _FINE_N on, the degree-_COARSE_N
+        solution on these nodes; below that, or if it fails, (None, (0, y0*))
+        with y0* the y(0) that meets the border row at Phi = 0."""
+        m, spec = self.m, self.spec
+        if m - 1 >= _FINE_N:
+            coarse_ops = build_operators(BasisConfig(self.nodeset.alpha, _COARSE_N))
+            try:
+                coarse = solve(spec, coarse_ops)
+            except (NonlinearSolveError, ArithmeticError):
+                pass
+            else:
+                return _COARSE_N, np.append(interpolate(coarse.nodeset, coarse.phi, self.x),
+                                            coarse.y0)
+        z0 = np.zeros(m + 1)
+        if spec.beta != 0:
+            z0[m] = (spec.delta - (spec.beta * spec.b + spec.gamma) * spec.alpha1) / spec.beta
+        return None, z0
+
+
+def _damped_newton(system: _BorderedSystem, step_fn, z: np.ndarray):
+    """Newton iteration on ``system`` with Armijo backtracking on the max-norm
+    residual.
+
+    ``step_fn(F, f_y, max|F|)`` returns the Newton step -J^-1 F at the y of F.
+    The rounding floor of F(z) is _FLOOR_FACTOR * eps * system.scale(z, y).
+    A full step below _STEP_RTOL * max|z| (sqrt(eps)*max|z|) ends the run at
+    the rounding floor: when it is accepted and the new iterate's max|F| is
+    within that iterate's floor, or when it is rejected and max|F(z)| is
+    within z's floor.  Without the first exit a run below the floor but above
+    _NEWTON_TOL takes roundoff-sized steps for as long as each lowers max|F| a
+    little, as many as rounding decides.  A rejected step that does not end
+    the run is halved by the line search, which raises NonlinearSolveError if
+    it stalls.  In the caller's error state f and f_y may overflow at the
+    start or at a trial step, and the finiteness tests turn that into a
+    rejected trial or a NonlinearSolveError.  Returns z, F(z) and y of the
+    accepted iterate, the iteration count and the step norms.
+    """
+    steps: list[float] = []
+    fval, y = system.residual(z)
+    fnorm = float(np.abs(fval).max())
+    if not math.isfinite(fnorm):
+        raise NonlinearSolveError("residual not finite at the initial guess")
+
+    def at_floor(z, y, fnorm, step_norm):
+        # the full step taken or rejected at z is roundoff-sized, and F(z) is
+        # at its rounding floor: the run ends at z
+        return (step_norm <= _STEP_RTOL * np.abs(z).max()
+                and fnorm <= _FLOOR_FACTOR * np.finfo(float).eps * system.scale(z, y))
+
+    for it in range(1, _NEWTON_MAXITER + 1):
+        if fnorm <= _NEWTON_TOL:
+            return z, fval, y, it - 1, steps
+        step = step_fn(fval, system.finite_fy(y), fnorm)
+        t = 1.0
+        for _ in range(_ARMIJO_HALVINGS + 1):
+            taken = step if t == 1.0 else t * step
+            trial = z + taken
+            f_trial, y_trial = system.residual(trial)
+            f_trial_norm = float(np.abs(f_trial).max())
+            if math.isfinite(f_trial_norm) and f_trial_norm <= (1.0 - 1e-4 * t) * fnorm:
+                break
+            if t == 1.0 and at_floor(z, y, fnorm, np.abs(step).max()):
+                return z, fval, y, it - 1, steps
+            t *= 0.5
+        else:
+            floor = _FLOOR_FACTOR * np.finfo(float).eps * system.scale(z, y)
+            raise NonlinearSolveError(f"line search stalled at iteration {it} (residual "
+                                      f"{fnorm:.3e}, rounding floor {floor:.3e})")
+        z, fval, y, fnorm = trial, f_trial, y_trial, f_trial_norm
+        steps.append(float(np.abs(taken).max()))
+        if (steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL
+                or t == 1.0 and at_floor(z, y, fnorm, steps[-1])):
+            return z, fval, y, it, steps
+    raise NonlinearSolveError(f"no convergence within {_NEWTON_MAXITER} iterations "
+                              f"(residual {fnorm:.3e})")
+
+
+def _check_degree(n: int) -> None:
+    if n < 1:  # the one-node rule collocates at b alone and returns a wrong y0
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness tests reject overflow
+def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
+    """Solve F(z) = 0 for z = (Phi, y0) on the nodes of ``ops`` mapped onto [0, b]."""
+    system = _BorderedSystem(spec, ops)
     if spec.kind == "linear":
-        fz, y = residual(np.zeros(m + 1))
-        z, kappa = _step_and_condition(jacobian(pvals), -fz)
-        fz, y = residual(z)
+        z, kappa = system.linear_step()
+        fz, y = system.residual(z)
         diag = {"kappa_inf": kappa}
     else:
-        seed_degree, z0 = _newton_start(spec, nodeset)
-        step = lu_step
-        if m - 1 >= _FINE_N:  # one Krylov workspace for the run
-            basis, a2x, step = np.empty((_GMRES_MAXITER + 1, m + 1)), spec.alpha2 / x, krylov_step
-        z, fz, y, iters, steps = _damped_newton(residual, step, scale, z0)
+        seed_degree, z0 = system.newton_start()
+        step = system.krylov_step if system.m - 1 >= _FINE_N else system.lu_step
+        z, fz, y, iters, steps = _damped_newton(system, step, z0)
         diag = {"newton_iters": iters, "step_norms": tuple(steps), "seed_degree": seed_degree}
 
-    phi = z[:m]
-    return SolverResult(
-        spec=spec,
-        nodeset=nodeset,
-        phi=phi,
-        y_nodes=y,
-        y0=float(z[m]),
-        yprime_nodes=spec.alpha1 + half_b * (q1 @ phi),
-        residual_nodes=fz[:m],
-        **diag,
-    )
+    phi = z[:-1]
+    return SolverResult(spec=spec, nodeset=system.nodeset, phi=phi, y_nodes=y, y0=float(z[-1]),
+                        yprime_nodes=spec.alpha1 + system.half_b * (system.q1 @ phi),
+                        residual_nodes=fz[:-1], **diag)
 
 
 def solve_problem(spec: ProblemSpec, n: int, alpha: float) -> SolverResult:

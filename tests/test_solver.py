@@ -1,5 +1,6 @@
 """Tests for the integral collocation solver on both boundary-condition branches."""
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -569,6 +570,54 @@ class TestResidual:
         for ex_id, alpha in ((1, 0.1), (3, -0.2)):
             r = solve_problem(get_example(ex_id).spec, 6, alpha)
             assert np.max(np.abs(r.residual_nodes)) <= 1e-10
+
+    @pytest.mark.parametrize("beta,gamma,delta", [(1.0, 0.5, 0.3), (0.0, 1.0, 2.0)],
+                             ids=["robin", "neumann"])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_floor_scale_is_the_largest_row_of_term_magnitudes(self, beta, gamma, delta, n):
+        """The scale of the rounding floor, rebuilt from the operator
+        definitions: the largest row of |H||Phi| + |f(x, y)| + |a1 a2/x| and
+        of the border row |top||Phi| + |beta y0| + |border|.  Two calls at
+        two z show that the |H| kept from the first is not stale."""
+        spec = ProblemSpec(kind="nonlinear", alpha1=0.3, alpha2=2.0, beta=beta, gamma=gamma,
+                           delta=delta, b=1.3, f=lambda x, y: y**3 - x,
+                           dfdy=lambda x, y: 3.0 * y**2)
+        ops = build_operators(BasisConfig(0.5, n))
+        x, q1, q2 = operators_on(ops, spec.b)
+        h = np.eye(x.size) + spec.alpha2 * (q1 / x[:, None])
+        top = beta * q2[0] + gamma * q1[0]
+        border = beta * spec.alpha1 * spec.b + gamma * spec.alpha1 - delta
+        system = solver._BorderedSystem(spec, ops)
+        for z in np.random.default_rng(n).standard_normal((2, x.size + 1)):
+            phi, y0 = z[:-1], z[-1]
+            y = y0 + spec.alpha1 * x + q2 @ phi
+            rows = (np.abs(h) @ np.abs(phi) + np.abs(spec.f(x, y))
+                    + np.abs(spec.alpha1 * spec.alpha2 / x))
+            last = np.abs(top) @ np.abs(phi) + abs(beta * y0) + abs(border)
+            expected = max(rows.max(), last)
+            assert abs(system.scale(z, y) - expected) <= 1e-14 * expected
+
+
+class TestAllocation:
+    @pytest.mark.parametrize("ex_id,alpha,ceiling", [(2, 0.5, 3.5), (4, 2.0, 4.5),
+                                                     (1, 0.5, 6.5)])
+    def test_warm_large_solve_keeps_no_extra_matrix(self, ex_id, alpha, ceiling):
+        """The traced peak of a warm n = 512 solve, in (n + 2)^2 doubles: 3.2
+        for example 2 (H, Q2 and the buffer of J; one Krylov step and no
+        floor test), 4.1 for example 4 (|H| for the floor test) and 6.05 for
+        the linear example 1 (J with [-F(0) | I] and its solution).  Another
+        n^2 matrix, or |H| formed where no floor test needs it, crosses the
+        ceiling.  LAPACK's copies are not traced: a J factored on the Krylov
+        path is what test_only_the_coarse_run_factors_a_matrix catches."""
+        spec, n = get_example(ex_id).spec, 512
+        solve_problem(spec, n, alpha)  # the basis builds, of n and of the coarse run
+        tracemalloc.start()
+        try:
+            solve_problem(spec, n, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ceiling * (n + 2) ** 2 * 8
 
 
 class TestRepeatSolves:
