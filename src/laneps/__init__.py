@@ -6,7 +6,7 @@ regular singular point at the origin into integral form, and solves them to
 spectral accuracy.  A priori error bounds, a registry of closed-form test
 problems, and a benchmark command line round out the toolkit.
 """
-from .basis import BasisConfig, NodeSet, RootFindingError, shift_nodeset, standard_nodeset
+from .basis import BasisConfig, NodeSet, RootFindingError, standard_nodeset
 from .bounds import (
     BoundInputs,
     bound_derivative_error,
@@ -57,7 +57,6 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "parse_expression",
-    "shift_nodeset",
     "solve",
     "solve_problem",
     "standard_nodeset",

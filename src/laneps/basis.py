@@ -22,7 +22,8 @@ from which it takes q_n' by a derivative identity: one step for the polish,
 2 to 7 from the guesses at alpha <= 20.  One more pass gives the table of
 G_0 .. G_{n+1} at the nodes (``node_table``), which the Christoffel weights
 and Q1 read.  The barycentric weights 1/q_n' come from that table and the
-Christoffel weights by the Christoffel–Darboux formula.
+Christoffel weights by the Christoffel–Darboux formula.  A ``NodeSet`` is
+always this rule on [-1, 1]; each solve maps its nodes onto [0, b] itself.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ __all__ = [
     "RootFindingError",
     "node_table",
     "standard_nodeset",
-    "shift_nodeset",
 ]
 
 
@@ -82,16 +82,16 @@ class BasisConfig:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Collocation nodes with quadrature weights on a fixed interval.
+    """The Gauss-Radau rule on [-1, 1]: nodes, quadrature and barycentric weights.
 
-    nodes are strictly descending, starting at the right endpoint of
-    ``interval``.  ``weights`` are the Gauss-Radau weights against the
-    Gegenbauer weight function, the Christoffel numbers of the nodes.
-    ``bary`` are the barycentric interpolation weights 1/q_n'(x_k) of the
-    standard nodes, which the Christoffel–Darboux formula reads off the
-    Christoffel numbers: the nodes are the n+1 roots of q_n, and an affine
-    map scales every weight by one factor, which cancels in the barycentric
-    formula.
+    nodes are strictly descending, starting at x = 1.  ``weights`` are the
+    Gauss-Radau weights against the Gegenbauer weight function, the
+    Christoffel numbers of the nodes.  ``bary`` are the barycentric
+    interpolation weights 1/q_n'(x_k), which the Christoffel–Darboux formula
+    reads off the Christoffel numbers: the nodes are the n+1 roots of q_n.
+    A solve maps the nodes onto [0, b] by x -> (b/2)(x + 1) and keeps
+    ``bary`` as it is: the map scales every barycentric weight by one factor,
+    which cancels in the barycentric formula.
     """
 
     alpha: float
@@ -99,7 +99,6 @@ class NodeSet:
     nodes: np.ndarray
     weights: np.ndarray
     bary: np.ndarray
-    interval: tuple[float, float]
 
     def __post_init__(self):
         for arr in (self.nodes, self.weights, self.bary):
@@ -330,27 +329,5 @@ def standard_nodeset(cfg: BasisConfig, *, table: np.ndarray | None = None) -> No
     g = node_table(cfg) if table is None else table
     nodes = g[1].copy()  # a view would keep the whole table alive in the memo
     weights = christoffel_weights(cfg, g)
-    return NodeSet(cfg.alpha, cfg.n, nodes, weights, _barycentric_weights(cfg, g, weights),
-                   (-1.0, 1.0))
+    return NodeSet(cfg.alpha, cfg.n, nodes, weights, _barycentric_weights(cfg, g, weights))
 
-
-def shift_nodeset(nodeset: NodeSet, b: float) -> NodeSet:
-    """Map a standard nodeset onto [0, b]: x -> (b/2)(x+1), weights scale by (b/2)^(2a).
-
-    The barycentric weights pass through unchanged: their scale cancels.
-    """
-    if not math.isfinite(b):
-        raise ValueError(f"b must be finite, got {b}")
-    if b <= 0:
-        raise ValueError(f"interval length must be positive, got {b}")
-    if nodeset.interval != (-1.0, 1.0):
-        raise ValueError("can only shift a standard [-1, 1] nodeset")
-    factor = (b / 2.0) ** (2.0 * nodeset.alpha)
-    return NodeSet(
-        nodeset.alpha,
-        nodeset.n,
-        (b / 2.0) * (nodeset.nodes + 1.0),
-        factor * nodeset.weights,
-        nodeset.bary,
-        (0.0, b),
-    )

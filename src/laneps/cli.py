@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisConfig, RootFindingError, shift_nodeset, standard_nodeset
+from .basis import BasisConfig, RootFindingError, standard_nodeset
 from .config import ConfigError, load_config
 from .expressions import DomainEvalError, ExpressionError
 from .registry import EXAMPLE_IDS, ExampleCase, RegistryError, all_examples, get_example
@@ -245,9 +245,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_nodes(args) -> int:
-    shifted = shift_nodeset(standard_nodeset(BasisConfig(args.alpha, args.n)), args.b)
+    """The rule on [0, b]: nodes (b/2)(x + 1), weights scaled by (b/2)^(2 alpha)."""
+    standard, b = standard_nodeset(BasisConfig(args.alpha, args.n)), args.b
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
+    if b <= 0:
+        raise ValueError(f"interval length must be positive, got {b}")
+    nodes = (b / 2.0) * (standard.nodes + 1.0)
+    weights = (b / 2.0) ** (2.0 * standard.alpha) * standard.weights
     sys.stdout.write("index,node,weight\n")
-    for i, (node, weight) in enumerate(zip(shifted.nodes, shifted.weights)):
+    for i, (node, weight) in enumerate(zip(nodes, weights)):
         sys.stdout.write(f"{i},{_fmt(node)},{_fmt(weight)}\n")
     return 0
 

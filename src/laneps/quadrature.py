@@ -8,6 +8,7 @@ on [-1, 1] from the nodeset's own table of G_0 .. G_{n+1} (``node_table``),
 once per (alpha, n), and is the only matrix kept.  The operators do not
 depend on b: the solver maps the nodes onto [0, b], where Q1 is (b/2) Q1
 and Q2 is (x_i - x_k) times that, and forms both once per solve.
+``interpolate`` takes the mapped nodes with the standard barycentric weights.
 """
 from __future__ import annotations
 
@@ -81,8 +82,6 @@ def build_q1(nodeset: NodeSet, *, table: np.ndarray) -> np.ndarray:
     recurrence that the weights read too) and I[j, i] the antiderivative of
     G_j at x_i.  ``table`` is the G table of ``node_table``.
     """
-    if nodeset.interval != (-1.0, 1.0):
-        raise ValueError("build_q1 expects a standard [-1, 1] nodeset")
     lambdas = _squared_norms(nodeset.alpha, nodeset.n)
     anti = _antiderivatives(nodeset.alpha, table)
     q1 = anti.T @ (table[:-1] / lambdas[:, None])
@@ -100,18 +99,19 @@ def build_operators(cfg: BasisConfig) -> IntegrationOperators:
     return IntegrationOperators(standard, q1)
 
 
-def interpolate(nodeset: NodeSet, values: np.ndarray, x) -> np.ndarray:
+def interpolate(nodes: np.ndarray, bary: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     """Evaluate the degree-n interpolant of node values at new points x.
 
     Uses the barycentric formula of the second kind (Berrut & Trefethen, SIAM
-    Review 46, 2004) on ``nodeset.bary``.  A point that equals a node returns
-    that node's value exactly.  The result has the shape of ``np.atleast_1d(x)``.
+    Review 46, 2004) with weights ``bary``, which hold for any affine image of
+    their nodes.  A point that equals a node returns that node's value
+    exactly.  The result has the shape of ``np.atleast_1d(x)``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    diff = x.reshape(-1, 1) - nodeset.nodes[None, :]
+    diff = x.reshape(-1, 1) - nodes[None, :]
     hit = diff == 0.0
     with np.errstate(divide="ignore"):
-        c = nodeset.bary / diff
+        c = bary / diff
     on_node = hit.any(axis=1)
     c[on_node] = hit[on_node]
     return ((c @ np.asarray(values)) / c.sum(axis=1)).reshape(x.shape)

@@ -18,7 +18,8 @@ z = (Phi, y0), where y0 = y(0) and
 
 with y(b) = y0 + a1*b + Q2[0] Phi and y'(b) = a1 + Q1[0] Phi, since the first
 node is b.  The IntegrationOperators do not depend on b: each solve maps
-their standard nodes onto [0, b], where Q1 and Q2 are the matrices.  The
+their standard nodes onto [0, b] by x = (b/2)(x^ + 1), where Q1 and Q2 are
+the matrices; the result keeps the standard barycentric weights.  The
 border row is linear in z, so J is H + f_y * Q2 bordered by the column f_y and
 the row (beta*Q2[0] + gamma*Q1[0], beta); the pure-derivative condition
 (beta = 0) is the same rows with beta = 0.  Each solve builds one
@@ -67,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisConfig, NodeSet, shift_nodeset
+from .basis import BasisConfig
 from .quadrature import IntegrationOperators, build_operators, interpolate
 
 __all__ = [
@@ -141,6 +142,8 @@ class ProblemSpec:
 class SolverResult:
     """Solution data at the collocation nodes plus solver diagnostics.
 
+    ``nodes`` are the collocation nodes on [0, b] and ``bary`` the memo's
+    barycentric weights of the standard nodes, which serve them too.
     ``phi`` holds the computed y'' values at the nodes; ``kappa_inf`` is set
     for linear solves only (a singular J raises), and is inf when it exceeds
     the double range; ``newton_iters``/``step_norms`` are set for nonlinear
@@ -151,7 +154,8 @@ class SolverResult:
     """
 
     spec: ProblemSpec
-    nodeset: NodeSet
+    nodes: np.ndarray
+    bary: np.ndarray
     phi: np.ndarray
     y_nodes: np.ndarray
     y0: float
@@ -163,12 +167,8 @@ class SolverResult:
     seed_degree: int | None = None
 
     def __post_init__(self):
-        for arr in (self.phi, self.y_nodes, self.yprime_nodes, self.residual_nodes):
+        for arr in (self.nodes, self.phi, self.y_nodes, self.yprime_nodes, self.residual_nodes):
             arr.setflags(write=False)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.nodeset.nodes
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate the approximate solution at points of [0, b], of any shape.
@@ -183,7 +183,7 @@ class SolverResult:
         if outside.any():
             bad = float(x[outside][0])
             raise ValueError(f"points must lie in [0, {self.spec.b!r}], got {bad!r}")
-        return np.where(x == 0.0, self.y0, interpolate(self.nodeset, self.y_nodes, x))
+        return np.where(x == 0.0, self.y0, interpolate(self.nodes, self.bary, self.y_nodes, x))
 
 
 def _gmres(matvec, rhs: np.ndarray, rtol: float, basis: np.ndarray) -> np.ndarray | None:
@@ -244,11 +244,12 @@ class _BorderedSystem:
     """
 
     def __init__(self, spec: ProblemSpec, ops: IntegrationOperators):
-        self.spec, self.nodeset = spec, shift_nodeset(ops.standard, spec.b)
-        self.x, self.q1, self.half_b = x, q1, half_b = self.nodeset.nodes, ops.q1, spec.b / 2.0
+        self.spec, self.standard, self.q1 = spec, ops.standard, ops.q1
+        self.half_b = half_b = spec.b / 2.0
+        self.x = x = half_b * (ops.standard.nodes + 1.0)  # the nodes on [0, b]
         self.m = m = x.size
         _check_degree(m - 1)
-        self.h = h = half_b * q1  # Q1 on [0, b], then H = I + a2 * Q1 / x in this one buffer
+        self.h = h = half_b * ops.q1  # Q1 on [0, b], then H = I + a2 * Q1 / x in this one buffer
         self.q2 = q2 = np.subtract.outer(x, x)
         q2 *= h
         # The border row beta*y(b) + gamma*y'(b) - delta = top Phi + beta*y0 + border.
@@ -391,14 +392,14 @@ class _BorderedSystem:
         with y0* the y(0) that meets the border row at Phi = 0."""
         m, spec = self.m, self.spec
         if m - 1 >= _FINE_N:
-            coarse_ops = build_operators(BasisConfig(self.nodeset.alpha, _COARSE_N))
+            coarse_ops = build_operators(BasisConfig(self.standard.alpha, _COARSE_N))
             try:
                 coarse = solve(spec, coarse_ops)
             except (NonlinearSolveError, ArithmeticError):
                 pass
             else:
-                return _COARSE_N, np.append(interpolate(coarse.nodeset, coarse.phi, self.x),
-                                            coarse.y0)
+                return _COARSE_N, np.append(
+                    interpolate(coarse.nodes, coarse.bary, coarse.phi, self.x), coarse.y0)
         z0 = np.zeros(m + 1)
         if spec.beta != 0:
             z0[m] = (spec.delta - (spec.beta * spec.b + spec.gamma) * spec.alpha1) / spec.beta
@@ -483,9 +484,9 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         diag = {"newton_iters": iters, "step_norms": tuple(steps), "seed_degree": seed_degree}
 
     phi = z[:-1]
-    return SolverResult(spec=spec, nodeset=system.nodeset, phi=phi, y_nodes=y, y0=float(z[-1]),
-                        yprime_nodes=spec.alpha1 + system.half_b * (system.q1 @ phi),
-                        residual_nodes=fz[:-1], **diag)
+    return SolverResult(spec=spec, nodes=system.x, bary=system.standard.bary, phi=phi,
+                        y_nodes=y, y0=float(z[-1]), residual_nodes=fz[:-1],
+                        yprime_nodes=spec.alpha1 + system.half_b * (system.q1 @ phi), **diag)
 
 
 def solve_problem(spec: ProblemSpec, n: int, alpha: float) -> SolverResult:

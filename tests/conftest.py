@@ -2,8 +2,6 @@
 and the integration operators on [0, b] from their definitions."""
 from hypothesis import HealthCheck, settings
 
-from laneps.basis import shift_nodeset
-
 settings.register_profile(
     "suite",
     deadline=None,
@@ -20,6 +18,6 @@ def operators_on(ops, b):
     The nodes are the standard nodes mapped onto [0, b], Q1 is b/2 times the
     standard Q1, and Q2 is (x_i - x_k) times Q1 on [0, b].
     """
-    x = shift_nodeset(ops.standard, b).nodes
+    x = (b / 2.0) * (ops.standard.nodes + 1.0)
     q1 = (b / 2.0) * ops.q1
     return x, q1, (x[:, None] - x[None, :]) * q1

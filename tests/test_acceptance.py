@@ -4,12 +4,13 @@ Every tolerance below is a stated requirement; the assertions are the gate
 and the printed line is a human-readable audit trail (visible with -s or on
 failure).
 """
+import dataclasses
 import time
 
 import numpy as np
 
 from conftest import operators_on
-from laneps.basis import BasisConfig, _recurrence, _squared_norms, shift_nodeset, standard_nodeset
+from laneps.basis import BasisConfig, _recurrence, _squared_norms, standard_nodeset
 from laneps.bounds import (
     BoundInputs,
     bound_derivative_error,
@@ -20,7 +21,7 @@ from laneps.bounds import (
 )
 from laneps.quadrature import _antiderivatives, build_operators
 from laneps.registry import get_example
-from laneps.solver import solve_problem
+from laneps.solver import solve, solve_problem
 
 ALPHA_GRID = (-0.4, 0.0, 0.5, 1.1, 2.0)
 B_GRID = (1.0, 1.5, 2.0)
@@ -131,9 +132,10 @@ def test_criterion_08_discrete_orthonormality_and_node_structure():
             worst = max(worst, float(np.max(np.abs(gram - np.eye(n + 1)))))
             assert np.all(ns.weights > 0.0)
             assert abs(ns.nodes[0] - 1.0) <= 1e-13
-            for b in (1.5, 2.0):
-                shifted = shift_nodeset(build_operators(BasisConfig(alpha, n)).standard, b)
-                assert abs(shifted.nodes[0] - b) <= 1e-13
+            for b in (1.5, 2.0):  # a solve maps the nodes onto [0, b]
+                spec = dataclasses.replace(get_example(1).spec, b=b)
+                r = solve(spec, build_operators(BasisConfig(alpha, n)))
+                assert abs(r.nodes[0] - b) <= 1e-13
     ok = worst <= 1e-10
     _report(8, ok, f"worst orthonormality defect={worst:.3e}")
 

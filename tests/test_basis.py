@@ -19,7 +19,6 @@ from laneps.basis import (
     _squared_norms,
     christoffel_weights,
     gauss_radau_nodes,
-    shift_nodeset,
     standard_nodeset,
 )
 
@@ -355,6 +354,12 @@ class TestNodes:
         expected = np.cos(2 * np.pi * np.arange(n + 1) / (2 * n + 1))
         assert np.max(np.abs(nodes - expected)) <= 1e-15
 
+    def test_nodeset_arrays_are_frozen(self):
+        ns = standard_nodeset(BasisConfig(0.5, 4))
+        for arr in (ns.nodes, ns.weights, ns.bary):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 class TestWeights:
     def test_two_point_legendre_rule(self):
@@ -418,42 +423,3 @@ class TestBarycentricWeights:
         """The one-node rule's q_0 = G_1 - G_0 = x - 1 has q_0' = 1."""
         for alpha in (-0.499, 0.0, 0.5):
             assert np.array_equal(standard_nodeset(BasisConfig(alpha, 0)).bary, [1.0])
-
-
-class TestShifting:
-    @pytest.mark.parametrize("b", [1.0, 1.5, 2.0])
-    def test_endpoints_and_scaling(self, b):
-        ns = standard_nodeset(BasisConfig(0.7, 6))
-        shifted = shift_nodeset(ns, b)
-        assert shifted.nodes[0] == b
-        assert np.all(shifted.nodes[1:] > 0.0)
-        factor = (b / 2.0) ** (2.0 * 0.7)
-        assert np.allclose(shifted.weights, factor * ns.weights, rtol=1e-14)
-
-    @pytest.mark.parametrize("b", [math.nan, math.inf])
-    def test_rejects_non_finite_length(self, b):
-        ns = standard_nodeset(BasisConfig(0.5, 2))
-        with pytest.raises(ValueError, match="b must be finite"):
-            shift_nodeset(ns, b)
-
-    @pytest.mark.parametrize("b", [0.0, -1.0])
-    def test_rejects_a_length_that_is_not_positive(self, b):
-        ns = standard_nodeset(BasisConfig(0.5, 2))
-        with pytest.raises(ValueError, match="interval length must be positive"):
-            shift_nodeset(ns, b)
-
-    def test_rejects_an_already_shifted_nodeset(self):
-        shifted = shift_nodeset(standard_nodeset(BasisConfig(0.5, 2)), 1.5)
-        with pytest.raises(ValueError, match="can only shift a standard"):
-            shift_nodeset(shifted, 1.5)
-
-    def test_b_two_is_a_pure_translation(self):
-        ns = standard_nodeset(BasisConfig(1.1, 8))
-        shifted = shift_nodeset(ns, 2.0)
-        assert np.all(shifted.nodes == ns.nodes + 1.0)
-        assert np.all(shifted.weights == ns.weights)
-
-    def test_nodeset_arrays_are_frozen(self):
-        ns = standard_nodeset(BasisConfig(0.5, 4))
-        with pytest.raises(ValueError):
-            ns.nodes[0] = 0.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from laneps import cli
-from laneps.basis import RootFindingError
+from laneps.basis import BasisConfig, RootFindingError, standard_nodeset
 from laneps.cli import main
 from laneps.config import load_config
 from laneps.registry import RegistryError, all_examples
@@ -103,6 +103,36 @@ class TestNodes:
         assert code == 1
         assert out == ""
         assert "b must be finite" in err
+
+    @pytest.mark.parametrize("b", [1.0, 1.5, 2.0])
+    def test_dump_is_the_standard_rule_mapped_onto_b(self, capsys, b):
+        """Nodes (b/2)(x + 1) and weights (b/2)^(2 alpha) w of the standard rule, bit for bit."""
+        ns = standard_nodeset(BasisConfig(0.7, 6))
+        nodes, weights = self._dump(capsys, 6, 0.7, b)
+        assert nodes[0] == b and np.all(nodes[1:] > 0.0)
+        assert np.array_equal(nodes, (b / 2.0) * (ns.nodes + 1.0))
+        assert np.array_equal(weights, (b / 2.0) ** (2.0 * 0.7) * ns.weights)
+
+    def test_b_two_is_a_pure_translation(self, capsys):
+        ns = standard_nodeset(BasisConfig(1.1, 8))
+        nodes, weights = self._dump(capsys, 8, 1.1, 2.0)
+        assert np.array_equal(nodes, ns.nodes + 1.0)
+        assert np.array_equal(weights, ns.weights)
+
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_length_that_is_not_positive_is_an_error(self, capsys, b):
+        code, out, err = run(capsys, "nodes", "--n", "2", "--alpha", "0.5", "--b", repr(b))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: interval length must be positive, got {b}\n"
+
+    @staticmethod
+    def _dump(capsys, n, alpha, b):
+        code, out, _ = run(capsys, "nodes", "--n", str(n), "--alpha", repr(alpha), "--b", repr(b))
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        return (np.array([float(row["node"]) for row in rows]),
+                np.array([float(row["weight"]) for row in rows]))
 
     def test_dump_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "nodes", "--n", "12", "--alpha", "-0.4", "--b", "2")

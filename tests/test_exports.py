@@ -33,7 +33,6 @@ PUBLIC = {
     "load_config",
     "parse_config_text",
     "parse_expression",
-    "shift_nodeset",
     "solve",
     "solve_problem",
     "standard_nodeset",
@@ -55,5 +54,5 @@ def test_every_exported_name_resolves():
 
 
 def test_package_exports_the_public_api_only():
-    assert len(laneps.__all__) == len(PUBLIC) == 31
+    assert len(laneps.__all__) == len(PUBLIC) == 30
     assert set(laneps.__all__) == PUBLIC

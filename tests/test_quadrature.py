@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import operators_on
 from laneps import basis, quadrature
-from laneps.basis import BasisConfig, _recurrence, node_table, shift_nodeset, standard_nodeset
+from laneps.basis import BasisConfig, _recurrence, node_table, standard_nodeset
 from laneps.quadrature import (
     _antiderivatives,
     build_operators,
@@ -97,12 +97,6 @@ class TestFirstOrderOperator:
         standard = build_q1(standard_nodeset(cfg), table=node_table(cfg))
         assert np.all(operators_on(ops, 2.0)[1] == standard)
 
-    def test_rejects_a_shifted_nodeset(self):
-        cfg = BasisConfig(0.5, 4)
-        shifted = shift_nodeset(standard_nodeset(cfg), 1.5)
-        with pytest.raises(ValueError, match="expects a standard"):
-            build_q1(shifted, table=node_table(cfg))
-
     @pytest.mark.parametrize("alpha", [-0.499, -0.4, 0.5, 2.0])
     @pytest.mark.parametrize("n", [32, 128, 512])
     def test_standard_matrix_integrates_low_powers_to_rounding(self, alpha, n):
@@ -154,8 +148,8 @@ class TestStandardBasisMemo:
         cfg = BasisConfig(0.7, 9)
         ops = build_operators(cfg)
         for b in (1.0, 2.5):
-            # The shift passes the standard barycentric weights through unchanged.
-            assert solve(_linear_spec(b), ops).nodeset.bary is ops.standard.bary
+            # The map onto [0, b] leaves the standard barycentric weights as they are.
+            assert solve(_linear_spec(b), ops).bary is ops.standard.bary
 
     def test_operators_hold_the_memoized_standard_matrix(self):
         """A hit returns the memo entry itself, so its Q1 is never copied."""
@@ -205,11 +199,9 @@ class TestStandardBasisMemo:
             assert np.array_equal(ops.q1, fresh_q1)
         if n == 0:  # the one-node rule does not solve
             return
-        shifted = shift_nodeset(fresh, b)
         r = solve(_linear_spec(b), build_operators(cfg))
-        for field in ("nodes", "weights", "bary"):
-            assert np.array_equal(getattr(r.nodeset, field), getattr(shifted, field))
-        assert r.nodeset.interval == (0.0, b)
+        assert np.array_equal(r.nodes, (b / 2.0) * (fresh.nodes + 1.0))
+        assert np.array_equal(r.bary, fresh.bary)
 
     def test_least_recently_used_basis_is_rebuilt(self):
         cfg = BasisConfig(0.25, 3)
@@ -228,18 +220,19 @@ class TestStandardBasisMemo:
 class TestInterpolation:
     @pytest.mark.parametrize("shape", [(2, 3), (2, 1), (3, 1, 2)])
     def test_keeps_the_shape_of_the_points(self, shape):
-        ns = shift_nodeset(standard_nodeset(BasisConfig(0.5, 8)), 1.5)
-        values = np.cos(ns.nodes)
+        ns = standard_nodeset(BasisConfig(0.5, 8))
+        nodes = 0.75 * (ns.nodes + 1.0)
+        values = np.cos(nodes)
         flat = np.linspace(0.0, 1.5, math.prod(shape))
-        flat[1] = ns.nodes[3]
-        out = interpolate(ns, values, flat.reshape(shape))
+        flat[1] = nodes[3]
+        out = interpolate(nodes, ns.bary, values, flat.reshape(shape))
         assert out.shape == shape
-        assert np.array_equal(out, interpolate(ns, values, flat).reshape(shape))
+        assert np.array_equal(out, interpolate(nodes, ns.bary, values, flat).reshape(shape))
 
     @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
     def test_cardinal_at_the_nodes(self, alpha):
         ns = standard_nodeset(BasisConfig(alpha, 9))
-        lmat = np.array([interpolate(ns, unit, ns.nodes) for unit in np.eye(10)])
+        lmat = np.array([interpolate(ns.nodes, ns.bary, unit, ns.nodes) for unit in np.eye(10)])
         assert np.max(np.abs(lmat - np.eye(10))) <= 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 512])
@@ -248,10 +241,10 @@ class TestInterpolation:
         standard = standard_nodeset(BasisConfig(alpha, n))
         values = np.random.default_rng(n).standard_normal(n + 1)
         for b in B_GRID:
-            ns = shift_nodeset(standard, b)
+            nodes = (b / 2.0) * (standard.nodes + 1.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                out = interpolate(ns, values, ns.nodes)
+                out = interpolate(nodes, standard.bary, values, nodes)
             assert np.array_equal(out, values)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64, 256, 512])
@@ -264,12 +257,13 @@ class TestInterpolation:
         """
         standard = standard_nodeset(BasisConfig(alpha, n))
         for b in B_GRID:
-            ns = shift_nodeset(standard, b)
+            nodes = (b / 2.0) * (standard.nodes + 1.0)
             x = np.linspace(0.0, b, 1001)[1:]
             for d in {n // 2, n}:
-                values = np.cos(d * np.arccos(2.0 * ns.nodes / b - 1.0))
+                values = np.cos(d * np.arccos(2.0 * nodes / b - 1.0))
                 expected = np.cos(d * np.arccos(2.0 * x / b - 1.0))
-                assert np.max(np.abs(interpolate(ns, values, x) - expected)) <= 1e-11
+                out = interpolate(nodes, standard.bary, values, x)
+                assert np.max(np.abs(out - expected)) <= 1e-11
 
     @pytest.mark.parametrize("n", [3, 9, 16])
     @pytest.mark.parametrize("alpha", [-0.499, 0.0, 0.5, 2.0, 5.0])
@@ -279,10 +273,11 @@ class TestInterpolation:
         Checked on (0, b], like the Chebyshev polynomials above, to 1e-13 of
         the function's size: at alpha = 5 it reaches 26 below the lowest node.
         """
-        ns = shift_nodeset(standard_nodeset(BasisConfig(alpha, n)), 1.5)
+        ns = standard_nodeset(BasisConfig(alpha, n))
+        mapped = 0.75 * (ns.nodes + 1.0)
         x = np.linspace(0.0, 1.5, 41)[1:]
         with mpmath.workdps(50):
-            nodes = [mpmath.mpf(float(t)) for t in ns.nodes]
+            nodes = [mpmath.mpf(float(t)) for t in mapped]
             for k, unit in enumerate(np.eye(n + 1)):
                 exact = np.array([
                     float(mpmath.fprod((mpmath.mpf(float(t)) - xj) / (nodes[k] - xj)
@@ -290,15 +285,17 @@ class TestInterpolation:
                     for t in x
                 ])
                 size = max(1.0, float(np.max(np.abs(exact))))
-                assert np.max(np.abs(interpolate(ns, unit, x) - exact)) <= 1e-13 * size
+                out = interpolate(mapped, ns.bary, unit, x)
+                assert np.max(np.abs(out - exact)) <= 1e-13 * size
 
     @pytest.mark.parametrize("b", B_GRID)
     def test_reproduces_polynomials(self, b):
-        ns = shift_nodeset(build_operators(BasisConfig(0.5, 8)).standard, b)
+        ns = build_operators(BasisConfig(0.5, 8)).standard
+        nodes = (b / 2.0) * (ns.nodes + 1.0)
         x = np.linspace(0.0, b, 33)
-        values = ns.nodes**5 - 2.0 * ns.nodes + 1.0
+        values = nodes**5 - 2.0 * nodes + 1.0
         expected = x**5 - 2.0 * x + 1.0
-        assert np.max(np.abs(interpolate(ns, values, x) - expected)) <= 1e-10
+        assert np.max(np.abs(interpolate(nodes, ns.bary, values, x) - expected)) <= 1e-10
 
     @given(
         c0=st.floats(min_value=-2.0, max_value=2.0),
@@ -308,7 +305,7 @@ class TestInterpolation:
         ns = standard_nodeset(BasisConfig(1.1, 5))
         values = c0 + c1 * ns.nodes
         x = np.linspace(-1.0, 1.0, 11)
-        assert np.max(np.abs(interpolate(ns, values, x) - (c0 + c1 * x))) <= 1e-11
+        assert np.max(np.abs(interpolate(ns.nodes, ns.bary, values, x) - (c0 + c1 * x))) <= 1e-11
 
     def test_matrices_are_frozen(self):
         """The memo entry's Q1 and standard nodeset are read-only."""

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import operators_on
-from laneps import solver
-from laneps.basis import BasisConfig, shift_nodeset
+from laneps import basis, solver
+from laneps.basis import BasisConfig
 from laneps.expressions import DomainEvalError, Expression, parse_expression
 from laneps.quadrature import build_operators
 from laneps.registry import get_example
@@ -702,15 +702,33 @@ class TestValidation:
         """Operators carry no interval: solve maps their nodes onto the spec's own
         [0, b] and leaves the shared object as it was, so a later solve keeps its bits."""
         ops = build_operators(BasisConfig(0.5, 16))
+        standard = ops.standard.nodes.copy()
         spec = get_example(1).spec
         before = solve(spec, ops)
         other = solve(dataclasses.replace(spec, b=b), ops)
         after = solve(spec, ops)
-        assert other.nodeset.interval == (0.0, b)
-        assert np.array_equal(other.nodeset.nodes, shift_nodeset(ops.standard, b).nodes)
-        assert ops.standard.interval == (-1.0, 1.0)
+        assert np.array_equal(other.nodes, (b / 2.0) * (standard + 1.0))
+        assert np.array_equal(ops.standard.nodes, standard)
         assert np.array_equal(after.y_nodes, before.y_nodes)
-        assert np.array_equal(after.nodeset.nodes, before.nodeset.nodes)
+        assert np.array_equal(after.nodes, before.nodes)
+
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_a_solve_builds_no_nodeset(self, monkeypatch, kind, n):
+        """The result holds the nodes on [0, b], read-only, and the memo's own
+        bary; no second NodeSet is made for the interval."""
+        ex_id = 1 if kind == "linear" else 5
+        ops = build_operators(BasisConfig(0.5, n))
+        build_operators(BasisConfig(0.5, solver._COARSE_N))  # the seed's memo entry
+        built = []
+        monkeypatch.setattr(basis.NodeSet, "__post_init__", lambda ns: built.append(ns))
+        for b in (0.5, 1.0, 3.0):
+            r = solve(dataclasses.replace(get_example(ex_id).spec, b=b), ops)
+            assert r.bary is ops.standard.bary
+            assert r.nodes[0] == b
+            assert not r.nodes.flags.writeable
+            assert not hasattr(r, "nodeset")
+        assert built == []
 
     @pytest.mark.parametrize("beta,gamma", [(1.0, 0.0), (0.0, 1.0)])
     @pytest.mark.parametrize("name", ["p", "g"])
