@@ -21,6 +21,8 @@ from laneps.basis import (
     gauss_radau_nodes,
     standard_nodeset,
 )
+from laneps.cli import main
+from laneps.solver import ProblemSpec
 
 ALPHA_GRID = (-0.4, 0.0, 0.5, 1.1, 2.0)
 NODE_ALPHAS = ALPHA_GRID + (-0.499, 5.0, 20.0)
@@ -407,6 +409,25 @@ class TestWeights:
             exact = 0.0 if k % 2 else math.exp(math.lgamma(p) + math.lgamma(r) - math.lgamma(p + r))
             approx = float(np.sum(ns.weights * ns.nodes**k))
             assert approx == pytest.approx(exact, abs=2e-11, rel=1e-12)
+
+
+class TestShifting:
+    """The map of the standard rule onto [0, b], done by each solve and by `laneps nodes`."""
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf])
+    def test_rejects_non_finite_length(self, capsys, b):
+        """Both places that map the rule refuse a non-finite b and leave the standard rule as it was."""
+        ns = standard_nodeset(BasisConfig(0.5, 2))
+        nodes, weights = ns.nodes.copy(), ns.weights.copy()
+        with pytest.raises(ValueError, match="b must be finite"):
+            ProblemSpec(kind="linear", alpha1=0.0, alpha2=1.0, beta=1.0, gamma=0.0,
+                        delta=0.0, b=b, p=np.zeros_like, g=np.zeros_like)
+        assert main(["nodes", "--n", "2", "--alpha", "0.5", "--b", repr(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "b must be finite" in captured.err
+        fresh = standard_nodeset(BasisConfig(0.5, 2))
+        for rule in (ns, fresh):
+            assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
 
 
 class TestBarycentricWeights:
