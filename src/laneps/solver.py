@@ -23,29 +23,33 @@ the matrices; the result keeps the standard barycentric weights.  The
 border row is linear in z, so J is H + f_y * Q2 bordered by the column f_y and
 the row (beta*Q2[0] + gamma*Q1[0], beta); the pure-derivative condition
 (beta = 0) is the same rows with beta = 0.  Each solve builds one
-_BorderedSystem, the one place that forms H, Q2, |H| and J; its methods give
-F, the Newton steps and the rounding floor of F.  A
-linear problem is solved by one exact Newton step from z = 0; a nonlinear one
-by one damped Newton run.  Below n = 256 that run starts from Phi = 0 and the
-y0 that meets the border row there, (delta - (beta*b + gamma)*a1)/beta, or
-y0 = 0 when beta = 0.  From n = 8 * _COARSE_N = 256 on it is grid sequenced
-(nested iteration; Kelley, Solving Nonlinear Equations with Newton's Method,
-SIAM 2003, ch. 1-2): the same problem is first solved at degree _COARSE_N = 32,
+_BorderedSystem, the one place that forms H, Q2, |H| and J, each only where
+it is read; its methods give F, the Newton steps and the rounding floor of
+F.  Since Q2[i, k] = (x_i - x_k) Q1[i, k], H Phi and Q2 Phi are also one
+product of Q1 with (Phi, x*Phi); the Krylov run below takes its F that way
+and forms no n x n matrix but the |H| of the floor test.  A linear problem
+is solved by one exact Newton step from z = 0; a nonlinear one by one damped
+Newton run.  Below n = 256 that run starts from Phi = 0 and the y0 that
+meets the border row there, (delta - (beta*b + gamma)*a1)/beta, or y0 = 0
+when beta = 0.  From n = 8 * _COARSE_N = 256 on it is grid sequenced (nested
+iteration; Kelley, Solving Nonlinear Equations with Newton's Method, SIAM
+2003, ch. 1-2): the same problem is first solved at degree _COARSE_N = 32,
 and the fine run starts from the coarse Phi interpolated to the fine nodes and
 the coarse y0.  If the coarse run fails numerically (NonlinearSolveError, or
 an ArithmeticError such as a domain error of f), the fine run takes the start
 used below n = 256; SolverResult.seed_degree records which start was taken.
-The fine run at n >= 256 takes each Newton step from matrix-free GMRES on
-J v, with no J formed, to an inexact-Newton forcing term; a step that GMRES
-misses within _GMRES_MAXITER iterations takes the LU step on the dense J,
-which is formed only then.  Every other Newton step, and the linear step,
-is LU.  Newton stops when the residual or the step falls to _NEWTON_TOL, or
-at the rounding floor of F by the rule of _damped_newton; a line search
-that stalls raises NonlinearSolveError, as does an f_y that is not finite at
-an iterate.  Each residual
-evaluation returns F and the y it was formed from; the Newton step is taken
-at that y, and the result reports the y and F of the accepted iterate, so y
-is formed once per iterate.
+The fine run at n >= 256, the Krylov run, takes each Newton step from
+matrix-free GMRES on J v, with no J formed, to an inexact-Newton forcing
+term; a step that GMRES misses within _GMRES_MAXITER iterations takes the LU
+step on the dense J, which is formed, with H and Q2, only then.  Every other
+Newton step, and the linear step, is LU; those runs form H and Q2 at
+set-up, since their first residual reads them.  Newton stops when the
+residual or the step falls to _NEWTON_TOL, or at the rounding floor of F by
+the rule of _damped_newton; a line search that stalls raises
+NonlinearSolveError, as does an f_y that is not finite at an iterate.  Each
+residual evaluation returns F and the y it was formed from; the Newton step
+is taken at that y, and the result reports the y and F of the accepted
+iterate, so y is formed once per iterate.
 One error state covers the whole solve (the operators, p and g, f and f_y):
 a value that overflows to inf or NaN becomes the typed error of the
 finiteness test that sees it, never a RuntimeWarning; a linear step that is
@@ -54,7 +58,10 @@ reported as inf.  The linear step and kappa_inf share one
 LU factorization: J is solved against [-F(0) | I], whose first column is the
 step and whose rest is J^-1 (inversion by solves against the identity; Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec.
-14.3).  An exactly singular linear J (p = 0 with beta = 0 leaves y(0) free)
+14.3).  From n = 256 on, the linear step drops H and Q2 once J is formed,
+so that fewer n x n matrices are alive while LAPACK factors J; the residual
+of the linear solution forms them again, by the same operations, so the
+output keeps its bits.  An exactly singular linear J (p = 0 with beta = 0 leaves y(0) free)
 raises numpy.linalg.LinAlgError.  Inside Newton an exactly singular J gets
 the minimum-norm least-squares step, and the residual test judges where it
 leads: a start with f_y = 0 everywhere and beta = 0 needs that step.
@@ -236,11 +243,16 @@ class _BorderedSystem:
     """The system F(z) = 0 of one solve on the nodes of ``ops`` mapped onto
     [0, b], with its Jacobian J, Newton steps and rounding floor.
 
-    Set-up writes (b/2) Q1 from the standard Q1 into one buffer, forms Q2 as
-    (x_i - x_k) times it, and then turns that buffer into H in place.  |H|
-    and the Krylov workspace are formed when a method first needs them, and
-    J, in its one buffer, only for an LU step.  Set-up raises for p or g not
-    finite at a node, and for a nonlinear spec without f_y.
+    Set-up forms the border row from row 0 of (b/2) Q1.  Every run but a
+    Krylov run (the nonlinear run at n >= _FINE_N) reads H and Q2 in its
+    first residual, so set-up forms them, from one buffer of (b/2) Q1, with
+    the one buffer of J, whose pages are touched only for an LU step.  A
+    Krylov run forms none of them unless a step falls back to LU: its
+    residual, like its J v, applies the standard Q1 to (Phi, x Phi), and the
+    |H| of its floor test is written straight from Q1 into one buffer.  The
+    linear step at n >= _FINE_N drops H and Q2 once J is formed; the next
+    residual forms them anew, by the same operations.  Set-up raises for p
+    or g not finite at a node, and for a nonlinear spec without f_y.
     """
 
     def __init__(self, spec: ProblemSpec, ops: IntegrationOperators):
@@ -249,16 +261,18 @@ class _BorderedSystem:
         self.x = x = half_b * (ops.standard.nodes + 1.0)  # the nodes on [0, b]
         self.m = m = x.size
         _check_degree(m - 1)
-        self.h = h = half_b * ops.q1  # Q1 on [0, b], then H = I + a2 * Q1 / x in this one buffer
-        self.q2 = q2 = np.subtract.outer(x, x)
-        q2 *= h
-        # The border row beta*y(b) + gamma*y'(b) - delta = top Phi + beta*y0 + border.
+        self.krylov = spec.kind == "nonlinear" and m - 1 >= _FINE_N
+        # The border row beta*y(b) + gamma*y'(b) - delta = top Phi + beta*y0 + border,
+        # from row 0 of (b/2) Q1 and of Q2 = (x_i - x_k) (b/2) Q1.
         self.beta = beta = spec.beta
-        self.top = beta * q2[0] + spec.gamma * h[0]
+        q1_top = half_b * ops.q1[0]
+        if self.krylov:
+            q2_top = (x[0] - x) * q1_top
+        else:  # every residual reads H and Q2; a plain call is cheaper at small n
+            self.matrices = self._form_matrices()
+            q2_top = self.matrices[1][0]
+        self.top = beta * q2_top + spec.gamma * q1_top
         self.border = beta * spec.alpha1 * spec.b + spec.gamma * spec.alpha1 - spec.delta
-        h /= x[:, None]
-        h *= spec.alpha2
-        h.reshape(-1)[:: m + 1] += 1.0
         self.sing, self.a1x = spec.alpha1 * spec.alpha2 / x, spec.alpha1 * x
         if spec.kind == "linear":
             self.p = pvals = np.broadcast_to(np.asarray(spec.p(x), dtype=float), x.shape)
@@ -271,16 +285,47 @@ class _BorderedSystem:
             raise NonlinearSolveError("nonlinear problems require dfdy = f_y for the Jacobian")
         else:
             self.f, self.dfdy = spec.f, spec.dfdy
-        self.jac = np.empty((m + 1, m + 1))  # its pages are touched only when J is formed
+
+    def _h_in_place(self, buf):
+        """Turn (b/2) Q1 in ``buf`` into H = I + a2 * Q1 / x."""
+        buf /= self.x[:, None]
+        buf *= self.spec.alpha2
+        buf.reshape(-1)[:: self.m + 1] += 1.0
+        return buf
+
+    @functools.cached_property
+    def matrices(self):
+        """H, Q2 and J's buffer of a Krylov run, formed on its first LU step
+        (or, after the linear step dropped them, on the next residual)."""
+        return self._form_matrices()
+
+    def _form_matrices(self):
+        """(H, Q2, the one buffer of J) on [0, b]: Q2 is (x_i - x_k) times
+        (b/2) Q1, and that (b/2) Q1 then becomes H in place.  The pages of
+        J's buffer are touched only when J is formed."""
+        h = self.half_b * self.q1
+        q2 = np.subtract.outer(self.x, self.x)
+        q2 *= h
+        return self._h_in_place(h), q2, np.empty((self.m + 1, self.m + 1))
 
     def residual(self, z):
-        """F(z) and the y = y0 + a1*x + Q2 Phi it was formed from."""
+        """F(z) and the y = y0 + a1*x + Q2 Phi it was formed from.  A Krylov
+        run takes H Phi and Q2 Phi from one product of Q1 with (Phi, x Phi),
+        as krylov_step's J v does; every other run from the matrices."""
         m = self.m
         phi = z[:m]
-        y = z[m] + self.a1x + self.q2 @ phi
         fz = np.empty(m + 1)
         rows = fz[:m]
-        np.matmul(self.h, phi, out=rows)
+        if self.krylov:
+            x = self.x
+            q1phi, q1xphi = (self.q1 @ np.stack((phi, x * phi), axis=1)).T * self.half_b
+            y = z[m] + self.a1x + (x * q1phi - q1xphi)
+            np.multiply(self.spec.alpha2 / x, q1phi, out=rows)
+            rows += phi  # H Phi
+        else:
+            h, q2, _ = self.matrices
+            y = z[m] + self.a1x + q2 @ phi
+            np.matmul(h, phi, out=rows)
         rows += self.f(self.x, y)
         rows += self.sing
         fz[m] = self.top @ phi + self.beta * z[m] + self.border
@@ -295,9 +340,10 @@ class _BorderedSystem:
 
     def jacobian(self, fy):
         """[[H + f_y * Q2, f_y], border row], overwriting the one J of this solve."""
-        m, jac = self.m, self.jac
-        np.multiply(fy[:, None], self.q2, out=jac[:m, :m])
-        jac[:m, :m] += self.h
+        m = self.m
+        h, q2, jac = self.matrices
+        np.multiply(fy[:, None], q2, out=jac[:m, :m])
+        jac[:m, :m] += h
         jac[:m, m] = fy
         jac[m, :m] = self.top
         jac[m, m] = self.beta
@@ -343,7 +389,11 @@ class _BorderedSystem:
 
     @functools.cached_property
     def abs_h(self):
-        return np.abs(self.h)
+        """|H|; a Krylov run writes it from Q1 into one buffer, with no H."""
+        if not self.krylov:
+            return np.abs(self.matrices[0])  # formed by the first residual
+        abs_h = self._h_in_place(self.half_b * self.q1)
+        return np.abs(abs_h, out=abs_h)
 
     def scale(self, z, y):
         """The largest row sum of the magnitudes of the terms of F(z), which
@@ -370,6 +420,8 @@ class _BorderedSystem:
         back exact, where unscaled it was up to 228 ulps off.
         """
         a, rhs = self.jacobian(self.p), -self.residual(np.zeros(self.m + 1))[0]
+        if self.m - 1 >= _FINE_N:
+            del self.matrices  # H and Q2 go; the caller's residual forms them again
         size = np.abs(a)
         norm, rest, border = size.sum(axis=1).max(), size[:-1].max(), size[-1].max()
         del size  # before the solve's copies, which set the peak
@@ -383,7 +435,8 @@ class _BorderedSystem:
         sol = np.linalg.solve(a, block)
         if not np.isfinite(sol[:, 0]).all():
             raise ValueError("the linear step is not finite: the bordered system overflows")
-        kappa = norm * np.abs(sol[:, 1:]).sum(axis=1).max()
+        inverse = sol[:, 1:]
+        kappa = norm * np.abs(inverse, out=inverse).sum(axis=1).max()
         return sol[:, 0].copy(), float(kappa)
 
     def newton_start(self):
@@ -430,10 +483,20 @@ def _damped_newton(system: _BorderedSystem, step_fn, z: np.ndarray):
     if not math.isfinite(fnorm):
         raise NonlinearSolveError("residual not finite at the initial guess")
 
+    # A bound on max|z|: |z + s| <= |z| + |s| and rounding is monotone, so
+    # the last exact max|z| plus the max|s| of each accepted step since bounds
+    # it.  The exact max is taken only where the bound does not rule the floor
+    # exit out.
+    z_bound = math.inf
+
     def at_floor(z, y, fnorm, step_norm):
         # the full step taken or rejected at z is roundoff-sized, and F(z) is
         # at its rounding floor: the run ends at z
-        return (step_norm <= _STEP_RTOL * np.abs(z).max()
+        nonlocal z_bound
+        if step_norm > _STEP_RTOL * z_bound:
+            return False
+        z_bound = float(np.abs(z).max())
+        return (step_norm <= _STEP_RTOL * z_bound
                 and fnorm <= _FLOOR_FACTOR * np.finfo(float).eps * system.scale(z, y))
 
     for it in range(1, _NEWTON_MAXITER + 1):
@@ -457,6 +520,7 @@ def _damped_newton(system: _BorderedSystem, step_fn, z: np.ndarray):
                                       f"{fnorm:.3e}, rounding floor {floor:.3e})")
         z, fval, y, fnorm = trial, f_trial, y_trial, f_trial_norm
         steps.append(float(np.abs(taken).max()))
+        z_bound += steps[-1]
         if (steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL
                 or t == 1.0 and at_floor(z, y, fnorm, steps[-1])):
             return z, fval, y, it, steps
@@ -479,7 +543,7 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         diag = {"kappa_inf": kappa}
     else:
         seed_degree, z0 = system.newton_start()
-        step = system.krylov_step if system.m - 1 >= _FINE_N else system.lu_step
+        step = system.krylov_step if system.krylov else system.lu_step
         z, fz, y, iters, steps = _damped_newton(system, step, z0)
         diag = {"newton_iters": iters, "step_norms": tuple(steps), "seed_degree": seed_degree}
 

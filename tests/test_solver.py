@@ -44,13 +44,20 @@ class TestRobinBranch:
         is the accepted iterate's, also after grid sequencing and Krylov
         steps (n = 256), after a line search that halved steps (the stiff
         source) and after a rejected full step at the rounding floor
-        (alpha = 5)."""
+        (alpha = 5).  A Krylov run forms no Q2: its Q2 Phi is x Q1 Phi -
+        Q1 (x Phi), from one product of the standard Q1 with (Phi, x Phi),
+        scaled by b/2."""
         for spec, n, alpha in ((get_example(1).spec, 5, 0.1), (get_example(2).spec, 256, 0.5),
                                (get_example(2).spec, 32, 5.0), (_stiff_source(), 16, 0.5)):
             ops = build_operators(BasisConfig(alpha, n))
             r = solve(spec, ops)
-            _, _, q2 = operators_on(ops, spec.b)
-            rebuilt = r.y0 + spec.alpha1 * r.nodes + q2 @ r.phi
+            x, _, q2 = operators_on(ops, spec.b)
+            if n >= solver._FINE_N:
+                q1phi, q1xphi = (ops.q1 @ np.stack((r.phi, x * r.phi), axis=1)).T * (spec.b / 2.0)
+                q2phi = x * q1phi - q1xphi
+            else:
+                q2phi = q2 @ r.phi
+            rebuilt = r.y0 + spec.alpha1 * r.nodes + q2phi
             assert np.array_equal(r.y_nodes, rebuilt)
 
     def test_endpoint_value_is_structural_for_dirichlet_data(self):
@@ -564,6 +571,61 @@ class TestKrylovStep:
         r = solve_problem(case.spec, n, alpha)
         assert np.max(np.abs(r.y_nodes - case.exact(r.nodes))) <= 1e-12
 
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
+    @pytest.mark.parametrize("ex_id", [2, 4, 5])
+    def test_y_is_the_matrix_formula_to_rounding(self, ex_id, alpha, n):
+        """The y of a Krylov run, taken from the product with Q1, is within
+        32 eps max|y| of y0 + a1 x + Q2 Phi with Q2 from its definition.
+        The largest seen is 7.4 eps on this grid and 15.6 eps at n = 1024
+        (example 4, alpha = -0.4)."""
+        spec = get_example(ex_id).spec
+        ops = build_operators(BasisConfig(alpha, n))
+        r = solve(spec, ops)
+        _, _, q2 = operators_on(ops, spec.b)
+        rebuilt = r.y0 + spec.alpha1 * r.nodes + q2 @ r.phi
+        scale = np.max(np.abs(r.y_nodes))
+        assert np.max(np.abs(r.y_nodes - rebuilt)) <= 32 * np.finfo(float).eps * scale
+
+    @staticmethod
+    def _fine_system(monkeypatch, spec, n, alpha):
+        """The _BorderedSystem of the fine run of a solve, after the solve."""
+        systems = []
+
+        class Recording(solver._BorderedSystem):
+            def __init__(self, *args):
+                super().__init__(*args)
+                systems.append(self)
+
+        monkeypatch.setattr(solver, "_BorderedSystem", Recording)
+        solve_problem(spec, n, alpha)
+        (fine,) = [system for system in systems if system.m == n + 1]
+        return fine
+
+    @pytest.mark.parametrize("ex_id,alpha", [(2, 0.5), (5, -0.4), (2, 2.0), (4, 2.0)])
+    def test_forms_no_matrix_without_lu_fallback(self, monkeypatch, ex_id, alpha):
+        """A Krylov run forms neither H and Q2 nor J; at alpha = 2 it may
+        reach the floor test, which forms |H| alone."""
+        fine = self._fine_system(monkeypatch, get_example(ex_id).spec, 512, alpha)
+        assert fine.krylov
+        assert "matrices" not in vars(fine)
+
+    @pytest.mark.parametrize("ex_id,alpha,n", [(2, -0.4, 256), (4, 2.0, 512), (5, 0.5, 256)])
+    def test_abs_h_has_the_bits_of_the_magnitude_of_h(self, ex_id, alpha, n):
+        """A Krylov run writes |H| from Q1 without forming H."""
+        ops = build_operators(BasisConfig(alpha, n))
+        system = solver._BorderedSystem(get_example(ex_id).spec, ops)
+        assert system.krylov
+        abs_h = system.abs_h  # formed before H
+        assert np.array_equal(abs_h, np.abs(system.matrices[0]))
+
+    def test_lu_fallback_forms_the_matrices(self, monkeypatch):
+        """The check above sees a formed matrix: the LU step of a missed cap
+        forms H, Q2 and J."""
+        monkeypatch.setattr(solver, "_GMRES_MAXITER", 1)
+        fine = self._fine_system(monkeypatch, get_example(4).spec, 256, 0.5)
+        assert "matrices" in vars(fine)
+
 
 class TestResidual:
     def test_linear_solutions_leave_roundoff_residual(self):
@@ -599,16 +661,19 @@ class TestResidual:
 
 
 class TestAllocation:
-    @pytest.mark.parametrize("ex_id,alpha,ceiling", [(2, 0.5, 3.5), (4, 2.0, 4.5),
-                                                     (1, 0.5, 6.5)])
+    @pytest.mark.parametrize("ex_id,alpha,ceiling", [
+        (2, 0.5, 0.5), (2, -0.4, 0.5), (5, 0.5, 0.5), (5, -0.4, 0.5), (5, 2.0, 0.5),
+        (2, 2.0, 1.5), (4, 2.0, 1.5), (1, 0.5, 3.5), (1, -0.4, 3.5), (3, 2.0, 3.5)])
     def test_warm_large_solve_keeps_no_extra_matrix(self, ex_id, alpha, ceiling):
-        """The traced peak of a warm n = 512 solve, in (n + 2)^2 doubles: 3.2
-        for example 2 (H, Q2 and the buffer of J; one Krylov step and no
-        floor test), 4.1 for example 4 (|H| for the floor test) and 6.05 for
-        the linear example 1 (J with [-F(0) | I] and its solution).  Another
-        n^2 matrix, or |H| formed where no floor test needs it, crosses the
-        ceiling.  LAPACK's copies are not traced: a J factored on the Krylov
-        path is what test_only_the_coarse_run_factors_a_matrix catches."""
+        """The traced peak of a warm n = 512 solve, in (n + 2)^2 doubles:
+        0.18 for a Krylov run that ends without the floor test (no n^2
+        matrix, only the Krylov workspace), 1.13 for one that reaches it
+        (|H| alone; examples 2 and 4 at alpha = 2) and 3.08 for a linear
+        solve (J with [-F(0) | I] and its solution; H and Q2 are dropped
+        before and formed again after).  An n^2 matrix more, or |H| formed
+        where no floor test needs it, crosses the ceiling.  LAPACK's copies
+        are not traced: a J factored on the Krylov path is what
+        test_only_the_coarse_run_factors_a_matrix catches."""
         spec, n = get_example(ex_id).spec, 512
         solve_problem(spec, n, alpha)  # the basis builds, of n and of the coarse run
         tracemalloc.start()
