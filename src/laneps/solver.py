@@ -26,15 +26,15 @@ the row (beta*Q2[0] + gamma*Q1[0], beta); the pure-derivative condition
 _BorderedSystem, the one place that forms H, Q2, |H| and J, each only where
 it is read; its methods give F, the Newton steps and the rounding floor of
 F.  Since Q2[i, k] = (x_i - x_k) Q1[i, k], H Phi and Q2 Phi are also one
-product of Q1 with (Phi, x*Phi); the Krylov run below takes its F that way
-and forms no n x n matrix but the |H| of the floor test.  A linear problem
-is solved by one exact Newton step from z = 0; a nonlinear one by one damped
-Newton run.  Below n = 256 that run starts from Phi = 0 and the y0 that
-meets the border row there, (delta - (beta*b + gamma)*a1)/beta, or y0 = 0
-when beta = 0.  From n = 8 * _COARSE_N = 256 on it is grid sequenced (nested
-iteration; Kelley, Solving Nonlinear Equations with Newton's Method, SIAM
-2003, ch. 1-2): the same problem is first solved at degree _COARSE_N = 32,
-and the fine run starts from the coarse Phi interpolated to the fine nodes and
+product of Q1 with (Phi, x*Phi); from n = 256 on every run takes its F that
+way, and reads H and Q2 only to form J.  A linear problem is solved by one
+exact Newton step from z = 0; a nonlinear one by one damped Newton run.
+Below n = 256 that run starts from Phi = 0 and the y0 that meets the border
+row there, (delta - (beta*b + gamma)*a1)/beta, or y0 = 0 when beta = 0.
+From n = 8 * _COARSE_N = 256 on it is grid sequenced (nested iteration;
+Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch.
+1-2): the same problem is first solved at degree _COARSE_N = 32, and the
+fine run starts from the coarse Phi interpolated to the fine nodes and
 the coarse y0.  If the coarse run fails numerically (NonlinearSolveError, or
 an ArithmeticError such as a domain error of f), the fine run takes the start
 used below n = 256; SolverResult.seed_degree records which start was taken.
@@ -42,8 +42,8 @@ The fine run at n >= 256, the Krylov run, takes each Newton step from
 matrix-free GMRES on J v, with no J formed, to an inexact-Newton forcing
 term; a step that GMRES misses within _GMRES_MAXITER iterations takes the LU
 step on the dense J, which is formed, with H and Q2, only then.  Every other
-Newton step, and the linear step, is LU; those runs form H and Q2 at
-set-up, since their first residual reads them.  Newton stops when the
+Newton step, and the linear step, is LU; below n = 256 a run forms H and Q2
+at set-up, since its first residual reads them.  Newton stops when the
 residual or the step falls to _NEWTON_TOL, or at the rounding floor of F by
 the rule of _damped_newton; a line search that stalls raises
 NonlinearSolveError, as does an f_y that is not finite at an iterate.  Each
@@ -59,11 +59,10 @@ LU factorization: J is solved against [-F(0) | I], whose first column is the
 step and whose rest is J^-1 (inversion by solves against the identity; Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec.
 14.3).  From n = 256 on, the linear step drops H and Q2 once J is formed,
-so that fewer n x n matrices are alive while LAPACK factors J; the residual
-of the linear solution forms them again, by the same operations, so the
-output keeps its bits.  An exactly singular linear J (p = 0 with beta = 0 leaves y(0) free)
-raises numpy.linalg.LinAlgError.  Inside Newton an exactly singular J gets
-the minimum-norm least-squares step, and the residual test judges where it
+so that fewer n x n matrices are alive while LAPACK factors J.  An exactly
+singular linear J (p = 0 with beta = 0 leaves y(0) free) raises
+numpy.linalg.LinAlgError.  Inside Newton an exactly singular J gets the
+minimum-norm least-squares step, and the residual test judges where it
 leads: a start with f_y = 0 everywhere and beta = 0 needs that step.
 """
 from __future__ import annotations
@@ -243,16 +242,16 @@ class _BorderedSystem:
     """The system F(z) = 0 of one solve on the nodes of ``ops`` mapped onto
     [0, b], with its Jacobian J, Newton steps and rounding floor.
 
-    Set-up forms the border row from row 0 of (b/2) Q1.  Every run but a
-    Krylov run (the nonlinear run at n >= _FINE_N) reads H and Q2 in its
-    first residual, so set-up forms them, from one buffer of (b/2) Q1, with
-    the one buffer of J, whose pages are touched only for an LU step.  A
-    Krylov run forms none of them unless a step falls back to LU: its
-    residual, like its J v, applies the standard Q1 to (Phi, x Phi), and the
-    |H| of its floor test is written straight from Q1 into one buffer.  The
-    linear step at n >= _FINE_N drops H and Q2 once J is formed; the next
-    residual forms them anew, by the same operations.  Set-up raises for p
-    or g not finite at a node, and for a nonlinear spec without f_y.
+    Set-up forms the border row from row 0 of (b/2) Q1.  ``fine`` (n >=
+    _FINE_N) is the one degree rule.  Below it every residual reads H and
+    Q2, so set-up forms them, from one buffer of (b/2) Q1, with the one
+    buffer of J, whose pages are touched only for an LU step.  From it on
+    the residual, like the Krylov run's J v, applies the standard Q1 to
+    (Phi, x Phi), the |H| of the floor test is written straight from Q1 into
+    one buffer, and H and Q2 are formed only for J: once by the linear
+    step, which drops them before LAPACK, and by a Krylov run only if a
+    step falls back to LU.  Set-up raises for p or g not finite at a node,
+    and for a nonlinear spec without f_y.
     """
 
     def __init__(self, spec: ProblemSpec, ops: IntegrationOperators):
@@ -261,12 +260,12 @@ class _BorderedSystem:
         self.x = x = half_b * (ops.standard.nodes + 1.0)  # the nodes on [0, b]
         self.m = m = x.size
         _check_degree(m - 1)
-        self.krylov = spec.kind == "nonlinear" and m - 1 >= _FINE_N
+        self.fine = m - 1 >= _FINE_N
         # The border row beta*y(b) + gamma*y'(b) - delta = top Phi + beta*y0 + border,
         # from row 0 of (b/2) Q1 and of Q2 = (x_i - x_k) (b/2) Q1.
         self.beta = beta = spec.beta
         q1_top = half_b * ops.q1[0]
-        if self.krylov:
+        if self.fine:
             q2_top = (x[0] - x) * q1_top
         else:  # every residual reads H and Q2; a plain call is cheaper at small n
             self.matrices = self._form_matrices()
@@ -295,8 +294,7 @@ class _BorderedSystem:
 
     @functools.cached_property
     def matrices(self):
-        """H, Q2 and J's buffer of a Krylov run, formed on its first LU step
-        (or, after the linear step dropped them, on the next residual)."""
+        """H, Q2 and J's buffer from n = _FINE_N on, formed for the first J."""
         return self._form_matrices()
 
     def _form_matrices(self):
@@ -309,14 +307,14 @@ class _BorderedSystem:
         return self._h_in_place(h), q2, np.empty((self.m + 1, self.m + 1))
 
     def residual(self, z):
-        """F(z) and the y = y0 + a1*x + Q2 Phi it was formed from.  A Krylov
-        run takes H Phi and Q2 Phi from one product of Q1 with (Phi, x Phi),
-        as krylov_step's J v does; every other run from the matrices."""
+        """F(z) and the y = y0 + a1*x + Q2 Phi it was formed from.  From
+        n = _FINE_N on, H Phi and Q2 Phi come from one product of Q1 with
+        (Phi, x Phi), as krylov_step's J v does; below it from the matrices."""
         m = self.m
         phi = z[:m]
         fz = np.empty(m + 1)
         rows = fz[:m]
-        if self.krylov:
+        if self.fine:
             x = self.x
             q1phi, q1xphi = (self.q1 @ np.stack((phi, x * phi), axis=1)).T * self.half_b
             y = z[m] + self.a1x + (x * q1phi - q1xphi)
@@ -389,8 +387,8 @@ class _BorderedSystem:
 
     @functools.cached_property
     def abs_h(self):
-        """|H|; a Krylov run writes it from Q1 into one buffer, with no H."""
-        if not self.krylov:
+        """|H|; from n = _FINE_N on it is written from Q1 into one buffer, with no H."""
+        if not self.fine:
             return np.abs(self.matrices[0])  # formed by the first residual
         abs_h = self._h_in_place(self.half_b * self.q1)
         return np.abs(abs_h, out=abs_h)
@@ -420,8 +418,8 @@ class _BorderedSystem:
         back exact, where unscaled it was up to 228 ulps off.
         """
         a, rhs = self.jacobian(self.p), -self.residual(np.zeros(self.m + 1))[0]
-        if self.m - 1 >= _FINE_N:
-            del self.matrices  # H and Q2 go; the caller's residual forms them again
+        if self.fine:
+            del self.matrices  # H and Q2 go before LAPACK; no later residual reads them
         size = np.abs(a)
         norm, rest, border = size.sum(axis=1).max(), size[:-1].max(), size[-1].max()
         del size  # before the solve's copies, which set the peak
@@ -444,7 +442,7 @@ class _BorderedSystem:
         solution on these nodes; below that, or if it fails, (None, (0, y0*))
         with y0* the y(0) that meets the border row at Phi = 0."""
         m, spec = self.m, self.spec
-        if m - 1 >= _FINE_N:
+        if self.fine:
             coarse_ops = build_operators(BasisConfig(self.standard.alpha, _COARSE_N))
             try:
                 coarse = solve(spec, coarse_ops)
@@ -543,7 +541,7 @@ def solve(spec: ProblemSpec, ops: IntegrationOperators) -> SolverResult:
         diag = {"kappa_inf": kappa}
     else:
         seed_degree, z0 = system.newton_start()
-        step = system.krylov_step if system.krylov else system.lu_step
+        step = system.krylov_step if system.fine else system.lu_step
         z, fz, y, iters, steps = _damped_newton(system, step, z0)
         diag = {"newton_iters": iters, "step_norms": tuple(steps), "seed_degree": seed_degree}
 

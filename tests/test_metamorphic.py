@@ -14,6 +14,13 @@ Superposition: a linear solve is linear in (g, a1, delta), so the solve for
 (g2, 0.3) with a1 = 0.
 
 Both are held to 32 eps max|y|.
+
+Boundary-data equivalence: the Robin condition y(b) + y'(b) = delta and the
+Dirichlet condition y(b) = delta', with delta' the y(b) of the Robin solve,
+pick the same solution, so the two solves agree at the nodes.  Example 2
+agrees within 31.5 eps max|y|, where the absolute Newton tolerance ends both
+runs (ROADMAP item 10), the other examples within 6 eps; the relation is
+held to 64 eps max|y|.
 """
 import dataclasses
 import functools
@@ -100,3 +107,21 @@ def test_superposition_of_linear_solves(ex_id, alpha, n):
     y = solve_problem(both, n, alpha)
     first, rest = _registry_solve(ex_id, alpha, n), solve_problem(second, n, alpha)
     assert _gap(first.y_nodes + rest.y_nodes, first.y0 + rest.y0, y) <= 32
+
+
+#: (alpha, n): both Newton paths, the coarse seed and, from n = 256 on, the
+#: product-form residual of both kinds of solve.
+BOUNDARY_CELLS = [(-0.4, 16), (0.5, 64), (2.0, 128), (-0.4, 512), (0.5, 512), (2.0, 512)]
+
+
+@pytest.mark.parametrize("alpha,n", BOUNDARY_CELLS)
+@pytest.mark.parametrize("ex_id", [1, 2, 3, 4])
+def test_robin_and_dirichlet_data_pick_the_same_solution(ex_id, alpha, n):
+    case = get_example(ex_id)
+    b = case.spec.b
+    delta = float(case.exact(b)) + float(case.exact_prime(b))
+    robin = solve_problem(dataclasses.replace(case.spec, beta=1.0, gamma=1.0, delta=delta),
+                          n, alpha)
+    dirichlet = dataclasses.replace(case.spec, beta=1.0, gamma=0.0, delta=float(robin.y_nodes[0]))
+    y = solve_problem(dirichlet, n, alpha)
+    assert _gap(y.y_nodes, y.y0, robin) <= 64

@@ -43,12 +43,13 @@ class TestRobinBranch:
         """y at the nodes is y0 + a1 x + Q2 Phi bit for bit: the reported y
         is the accepted iterate's, also after grid sequencing and Krylov
         steps (n = 256), after a line search that halved steps (the stiff
-        source) and after a rejected full step at the rounding floor
-        (alpha = 5).  A Krylov run forms no Q2: its Q2 Phi is x Q1 Phi -
-        Q1 (x Phi), from one product of the standard Q1 with (Phi, x Phi),
-        scaled by b/2."""
+        source), after a rejected full step at the rounding floor
+        (alpha = 5) and after a linear step at n = 256.  From n = 256 on the
+        y of a solve reads no Q2: its Q2 Phi is x Q1 Phi - Q1 (x Phi), from
+        one product of the standard Q1 with (Phi, x Phi), scaled by b/2."""
         for spec, n, alpha in ((get_example(1).spec, 5, 0.1), (get_example(2).spec, 256, 0.5),
-                               (get_example(2).spec, 32, 5.0), (_stiff_source(), 16, 0.5)):
+                               (get_example(2).spec, 32, 5.0), (_stiff_source(), 16, 0.5),
+                               (get_example(1).spec, 256, 0.5)):
             ops = build_operators(BasisConfig(alpha, n))
             r = solve(spec, ops)
             x, _, q2 = operators_on(ops, spec.b)
@@ -185,6 +186,35 @@ class TestLinearFactorization:
         jac = _rebuilt_jacobian(spec, ops)
         expected = np.linalg.norm(jac, np.inf) * np.linalg.norm(np.linalg.inv(jac), np.inf)
         assert abs(solve(spec, ops).kappa_inf - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("ex_id", [1, 3])
+    def test_large_solve_forms_the_matrices_once_and_keeps_the_step(self, monkeypatch, ex_id, n):
+        """From n = 256 on, H and Q2 are formed once, for J, and the residual
+        of the solution reads neither.  Phi, y0 and kappa_inf are, bit for
+        bit, those of np.linalg.solve of the textbook J against [-F(0) | I],
+        with F(0) from its definition (no border row is scaled here)."""
+        calls = []
+        form = solver._BorderedSystem._form_matrices
+
+        def counted(self):
+            calls.append(self.m)
+            return form(self)
+
+        monkeypatch.setattr(solver._BorderedSystem, "_form_matrices", counted)
+        spec = get_example(ex_id).spec
+        ops = build_operators(BasisConfig(0.5, n))
+        r = solve(spec, ops)
+        assert calls == [n + 1]
+        x = r.nodes
+        jac = _rebuilt_jacobian(spec, ops)
+        a1 = spec.alpha1
+        f0 = np.append(spec.p(x) * (a1 * x) - spec.g(x) + a1 * spec.alpha2 / x,
+                       spec.beta * a1 * spec.b + spec.gamma * a1 - spec.delta)
+        sol = np.linalg.solve(jac, np.hstack((-f0[:, None], np.eye(n + 2))))
+        kappa = np.abs(jac).sum(axis=1).max() * np.abs(sol[:, 1:]).sum(axis=1).max()
+        assert np.array_equal(r.phi, sol[:-1, 0]) and r.y0 == sol[-1, 0]
+        assert r.kappa_inf == kappa
 
 
 class TestNeumannBranch:
@@ -573,12 +603,14 @@ class TestKrylovStep:
 
     @pytest.mark.parametrize("n", [256, 512])
     @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
-    @pytest.mark.parametrize("ex_id", [2, 4, 5])
+    @pytest.mark.parametrize("ex_id", [1, 2, 3, 4, 5])
     def test_y_is_the_matrix_formula_to_rounding(self, ex_id, alpha, n):
-        """The y of a Krylov run, taken from the product with Q1, is within
-        32 eps max|y| of y0 + a1 x + Q2 Phi with Q2 from its definition.
-        The largest seen is 7.4 eps on this grid and 15.6 eps at n = 1024
-        (example 4, alpha = -0.4)."""
+        """The y of a solve from n = 256 on, linear (examples 1 and 3) or a
+        Krylov run, taken from the product with Q1, is within 32 eps max|y|
+        of y0 + a1 x + Q2 Phi with Q2 from its definition.  The largest
+        seen is 7.4 eps on this grid, and at n = 1024 15.6 eps for a Krylov
+        run (example 4, alpha = -0.4) and 10.8 eps for a linear solve
+        (example 1, alpha = 0.5)."""
         spec = get_example(ex_id).spec
         ops = build_operators(BasisConfig(alpha, n))
         r = solve(spec, ops)
@@ -607,7 +639,7 @@ class TestKrylovStep:
         """A Krylov run forms neither H and Q2 nor J; at alpha = 2 it may
         reach the floor test, which forms |H| alone."""
         fine = self._fine_system(monkeypatch, get_example(ex_id).spec, 512, alpha)
-        assert fine.krylov
+        assert fine.fine
         assert "matrices" not in vars(fine)
 
     @pytest.mark.parametrize("ex_id,alpha,n", [(2, -0.4, 256), (4, 2.0, 512), (5, 0.5, 256)])
@@ -615,7 +647,7 @@ class TestKrylovStep:
         """A Krylov run writes |H| from Q1 without forming H."""
         ops = build_operators(BasisConfig(alpha, n))
         system = solver._BorderedSystem(get_example(ex_id).spec, ops)
-        assert system.krylov
+        assert system.fine
         abs_h = system.abs_h  # formed before H
         assert np.array_equal(abs_h, np.abs(system.matrices[0]))
 
@@ -669,11 +701,11 @@ class TestAllocation:
         0.18 for a Krylov run that ends without the floor test (no n^2
         matrix, only the Krylov workspace), 1.13 for one that reaches it
         (|H| alone; examples 2 and 4 at alpha = 2) and 3.08 for a linear
-        solve (J with [-F(0) | I] and its solution; H and Q2 are dropped
-        before and formed again after).  An n^2 matrix more, or |H| formed
-        where no floor test needs it, crosses the ceiling.  LAPACK's copies
-        are not traced: a J factored on the Krylov path is what
-        test_only_the_coarse_run_factors_a_matrix catches."""
+        solve (J with [-F(0) | I] and its solution; H and Q2 are formed
+        once, for J, and dropped before the solve).  An n^2 matrix more,
+        or |H| formed where no floor test needs it, crosses the ceiling.
+        LAPACK's copies are not traced: a J factored on the Krylov path is
+        what test_only_the_coarse_run_factors_a_matrix catches."""
         spec, n = get_example(ex_id).spec, 512
         solve_problem(spec, n, alpha)  # the basis builds, of n and of the coarse run
         tracemalloc.start()
