@@ -14,12 +14,10 @@ an O(n^3) eigensolve; from n = 256 on they come from simultaneous Newton on
 q_n started at asymptotic guesses, O(n^2), which is the faster of the two
 there, or from the eigensolver where Newton does not converge.  One private
 pass of the recurrence yields the values G_0 .. G_m, or the last three
-alone, and every evaluation goes through it; it forms the products
-2 (k + a) x of 32 degrees at a time by one outer product and hands numpy
-its per-degree scalars as 0-d arrays, so each degree step makes four numpy
-calls.  Each Newton step on q_n is one pass for the last three values,
-from which it takes q_n' by a derivative identity: one step for the polish,
-2 to 7 from the guesses at alpha <= 20.  One more pass gives the table of
+alone, and every evaluation goes through it.  Each Newton step on q_n is one
+pass for the last three values, from which it takes q_n' by a derivative
+identity: one step for the polish, 2 to 7 from the guesses at alpha <= 20.
+One more pass gives the table of
 G_0 .. G_{n+1} at the nodes (``node_table``), which the Christoffel weights
 and Q1 read.  The barycentric weights 1/q_n' come from that table and the
 Christoffel weights by the Christoffel–Darboux formula.  A ``NodeSet`` is
@@ -42,7 +40,7 @@ __all__ = [
 
 
 class RootFindingError(RuntimeError):
-    """Raised when the computed Gauss-Radau nodes are not strictly descending in (-1, 1]."""
+    """Raised when the Gauss-Radau nodes are out of order or a rule array or Q1 is not finite."""
 
 
 def _check_alpha(alpha: float) -> None:
@@ -120,10 +118,9 @@ def _recurrence(alpha: float, m: int, x, table: bool = True) -> np.ndarray:
     c_k = 2 (k + a), of _BLOCK degrees at a time come from one outer
     product, and k and k + 2a are 0-d arrays made once per block, so a
     degree step makes four numpy calls, in place, none of which converts a
-    Python number.  The
-    operations and their order are the textbook loop's, one product c_k x
-    per degree, so the values agree with it bit for bit.  Beside its result
-    a pass allocates O(_BLOCK * size(x)).
+    Python number.  The operations and their order are the textbook loop's,
+    one product c_k x per degree, so the values agree with it bit for bit.
+    Beside its result a pass allocates O(_BLOCK * size(x)).
     """
     _check_alpha(alpha)
     _check_degree(m)
@@ -168,8 +165,11 @@ def _squared_norms(alpha: float, n: int) -> np.ndarray:
 
         lambda_j = lambda_{j-1} (j / (j+a)) ((j-1+a) / (j-1+2a)).
     """
-    head = math.pi if alpha == 0.0 else math.exp(
-        2 * alpha * math.log(2) + 2 * math.lgamma(alpha + 0.5) - math.lgamma(2 * alpha + 1))
+    try:
+        head = math.pi if alpha == 0.0 else math.exp(
+            2 * alpha * math.log(2) + 2 * math.lgamma(alpha + 0.5) - math.lgamma(2 * alpha + 1))
+    except OverflowError:  # the lgammas of a huge alpha cancel to noise
+        head = math.nan
     j = np.arange(2.0, n + 1)
     ratios = np.concatenate(([head, 1 / (2 * (1 + alpha))],
                              (j / (j + alpha)) * ((j - 1 + alpha) / (j - 1 + 2 * alpha))))
@@ -189,6 +189,8 @@ def _golub_welsch(alpha: float, n: int) -> np.ndarray:
     diag[0] = (b - a) / (a + b + 2)  # k = 0 term, cancelled so alpha = 0 is not 0/0
     diag[1:] = (b * b - a * a) / (s * (s + 2))
     off = np.sqrt(4 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1) * (s - 1)))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise RootFindingError(f"the Jacobi matrix of alpha = {alpha!r} is not finite")
     jacobi = np.diag(diag)
     jacobi[k, k - 1] = off  # eigvalsh reads only the lower triangle
     return np.linalg.eigvalsh(jacobi)[::-1]
@@ -321,13 +323,23 @@ def node_table(cfg: BasisConfig) -> np.ndarray:
     return _recurrence(cfg.alpha, cfg.n + 1, gauss_radau_nodes(cfg))
 
 
+def _require_finite(cfg: BasisConfig, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise RootFindingError(f"the Gauss-Radau rule for alpha = {cfg.alpha!r}, n = {cfg.n} "
+                               "is not finite in double precision")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # _require_finite refuses overflow
 def standard_nodeset(cfg: BasisConfig, *, table: np.ndarray | None = None) -> NodeSet:
     """Nodes, weights and barycentric weights on [-1, 1], read from ``node_table(cfg)``.
 
     A caller that has evaluated that table already passes it as ``table``.
+    In one error state, a rule that doubles cannot hold raises RootFindingError.
     """
     g = node_table(cfg) if table is None else table
     nodes = g[1].copy()  # a view would keep the whole table alive in the memo
     weights = christoffel_weights(cfg, g)
-    return NodeSet(cfg.alpha, cfg.n, nodes, weights, _barycentric_weights(cfg, g, weights))
+    bary = _barycentric_weights(cfg, g, weights)
+    _require_finite(cfg, weights, bary)
+    return NodeSet(cfg.alpha, cfg.n, nodes, weights, bary)
 

@@ -252,7 +252,10 @@ def _cmd_nodes(args) -> int:
     if b <= 0:
         raise ValueError(f"interval length must be positive, got {b}")
     nodes = (b / 2.0) * (standard.nodes + 1.0)
-    weights = (b / 2.0) ** (2.0 * standard.alpha) * standard.weights
+    with np.errstate(over="ignore"):
+        weights = np.float64(b / 2.0) ** (2.0 * standard.alpha) * standard.weights
+    if not (np.isfinite(weights).all() and (weights > 0).all()):
+        raise ValueError(f"the weights on [0, {b!r}] leave the double range")
     sys.stdout.write("index,node,weight\n")
     for i, (node, weight) in enumerate(zip(nodes, weights)):
         sys.stdout.write(f"{i},{_fmt(node)},{_fmt(weight)}\n")

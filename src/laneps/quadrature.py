@@ -6,8 +6,7 @@ second-order operator does the same for the iterated (double) integral.  Both
 are dense (n+1) x (n+1) matrices acting on node-value vectors.  Q1 is built
 on [-1, 1] from the nodeset's own table of G_0 .. G_{n+1} (``node_table``),
 once per (alpha, n), and is the only matrix kept.  The operators do not
-depend on b: the solver maps the nodes onto [0, b], where Q1 is (b/2) Q1
-and Q2 is (x_i - x_k) times that, and forms both once per solve.
+depend on b; ``IntegrationOperators`` says what Q1 and Q2 are on [0, b].
 ``interpolate`` takes the mapped nodes with the standard barycentric weights.
 """
 from __future__ import annotations
@@ -17,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisConfig, NodeSet, _squared_norms, node_table, standard_nodeset
+from .basis import (BasisConfig, NodeSet, _require_finite, _squared_norms, node_table,
+                    standard_nodeset)
 
 __all__ = [
     "IntegrationOperators",
@@ -90,11 +90,14 @@ def build_q1(nodeset: NodeSet, *, table: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # _require_finite refuses overflow
 def build_operators(cfg: BasisConfig) -> IntegrationOperators:
-    """The memoized standard nodeset for (alpha, n) and its Q1, read from one node table."""
+    """The memoized standard nodeset for (alpha, n) and its Q1, read from one
+    node table; a Q1 that is not finite raises RootFindingError, unmemoized."""
     table = node_table(cfg)
     standard = standard_nodeset(cfg, table=table)
     q1 = build_q1(standard, table=table)
+    _require_finite(cfg, q1)
     q1.setflags(write=False)
     return IntegrationOperators(standard, q1)
 

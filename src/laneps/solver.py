@@ -25,12 +25,10 @@ the row (beta*Q2[0] + gamma*Q1[0], beta); the pure-derivative condition
 (beta = 0) is the same rows with beta = 0.  Each solve builds one
 _BorderedSystem, the one place that forms H, Q2, |H| and J, each only where
 it is read; its methods give F, the Newton steps and the rounding floor of
-F.  Since Q2[i, k] = (x_i - x_k) Q1[i, k], H Phi and Q2 Phi are also one
-product of Q1 with (Phi, x*Phi); from n = 256 on every run takes its F that
-way, and reads H and Q2 only to form J.  A linear problem is solved by one
-exact Newton step from z = 0; a nonlinear one by one damped Newton run.
-Below n = 256 that run starts from Phi = 0 and the y0 that meets the border
-row there, (delta - (beta*b + gamma)*a1)/beta, or y0 = 0 when beta = 0.
+F.  A linear problem is solved by one exact Newton step from z = 0; a
+nonlinear one by one damped Newton run.  Below n = 256 that run starts from
+Phi = 0 and the y0 that meets the border row there,
+(delta - (beta*b + gamma)*a1)/beta, or y0 = 0 when beta = 0.
 From n = 8 * _COARSE_N = 256 on it is grid sequenced (nested iteration;
 Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch.
 1-2): the same problem is first solved at degree _COARSE_N = 32, and the
@@ -41,15 +39,12 @@ used below n = 256; SolverResult.seed_degree records which start was taken.
 The fine run at n >= 256, the Krylov run, takes each Newton step from
 matrix-free GMRES on J v, with no J formed, to an inexact-Newton forcing
 term; a step that GMRES misses within _GMRES_MAXITER iterations takes the LU
-step on the dense J, which is formed, with H and Q2, only then.  Every other
-Newton step, and the linear step, is LU; below n = 256 a run forms H and Q2
-at set-up, since its first residual reads them.  Newton stops when the
-residual or the step falls to _NEWTON_TOL, or at the rounding floor of F by
-the rule of _damped_newton; a line search that stalls raises
-NonlinearSolveError, as does an f_y that is not finite at an iterate.  Each
-residual evaluation returns F and the y it was formed from; the Newton step
-is taken at that y, and the result reports the y and F of the accepted
-iterate, so y is formed once per iterate.
+step on the dense J.  Every other Newton step, and the linear step, is LU.
+Newton stops when the residual or the step falls to _NEWTON_TOL, or at the
+rounding floor of F by the rule of _damped_newton; a line search that stalls
+raises NonlinearSolveError, as does an f_y that is not finite at an iterate.
+Each residual returns F with the y it was formed from, at which the Newton
+step is taken, so y is formed once per iterate.
 One error state covers the whole solve (the operators, p and g, f and f_y):
 a value that overflows to inf or NaN becomes the typed error of the
 finiteness test that sees it, never a RuntimeWarning; a linear step that is
@@ -58,10 +53,8 @@ reported as inf.  The linear step and kappa_inf share one
 LU factorization: J is solved against [-F(0) | I], whose first column is the
 step and whose rest is J^-1 (inversion by solves against the identity; Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec.
-14.3).  From n = 256 on, the linear step drops H and Q2 once J is formed,
-so that fewer n x n matrices are alive while LAPACK factors J.  An exactly
-singular linear J (p = 0 with beta = 0 leaves y(0) free) raises
-numpy.linalg.LinAlgError.  Inside Newton an exactly singular J gets the
+14.3).  An exactly singular linear J (p = 0 with beta = 0 leaves y(0) free)
+raises numpy.linalg.LinAlgError.  Inside Newton an exactly singular J gets the
 minimum-norm least-squares step, and the residual test judges where it
 leads: a start with f_y = 0 everywhere and beta = 0 needs that step.
 """
@@ -242,16 +235,14 @@ class _BorderedSystem:
     """The system F(z) = 0 of one solve on the nodes of ``ops`` mapped onto
     [0, b], with its Jacobian J, Newton steps and rounding floor.
 
-    Set-up forms the border row from row 0 of (b/2) Q1.  ``fine`` (n >=
-    _FINE_N) is the one degree rule.  Below it every residual reads H and
-    Q2, so set-up forms them, from one buffer of (b/2) Q1, with the one
-    buffer of J, whose pages are touched only for an LU step.  From it on
-    the residual, like the Krylov run's J v, applies the standard Q1 to
-    (Phi, x Phi), the |H| of the floor test is written straight from Q1 into
-    one buffer, and H and Q2 are formed only for J: once by the linear
-    step, which drops them before LAPACK, and by a Krylov run only if a
-    step falls back to LU.  Set-up raises for p or g not finite at a node,
-    and for a nonlinear spec without f_y.
+    ``fine`` (n >= _FINE_N) is the one degree rule.  Below it every residual
+    reads H and Q2, so set-up forms them, from one buffer of (b/2) Q1, with
+    the one buffer of J, whose pages are touched only for an LU step.  From
+    it on the residual and J v take H Phi and Q2 Phi from ``_q1_products``,
+    |H| is written straight from Q1 into one buffer, and H and Q2 are formed
+    only for J: once by the linear step, which drops them before LAPACK, and
+    by a Krylov run only if a step falls back to LU.  Set-up raises for p or
+    g not finite at a node, and for a nonlinear spec without f_y.
     """
 
     def __init__(self, spec: ProblemSpec, ops: IntegrationOperators):
@@ -261,16 +252,13 @@ class _BorderedSystem:
         self.m = m = x.size
         _check_degree(m - 1)
         self.fine = m - 1 >= _FINE_N
+        if not self.fine:  # every residual reads H and Q2; a plain call is cheaper at small n
+            self.matrices = self._form_matrices()
         # The border row beta*y(b) + gamma*y'(b) - delta = top Phi + beta*y0 + border,
-        # from row 0 of (b/2) Q1 and of Q2 = (x_i - x_k) (b/2) Q1.
+        # from row 0 of (b/2) Q1 and of Q2 = (x_i - x_k) (b/2) Q1 at every degree.
         self.beta = beta = spec.beta
         q1_top = half_b * ops.q1[0]
-        if self.fine:
-            q2_top = (x[0] - x) * q1_top
-        else:  # every residual reads H and Q2; a plain call is cheaper at small n
-            self.matrices = self._form_matrices()
-            q2_top = self.matrices[1][0]
-        self.top = beta * q2_top + spec.gamma * q1_top
+        self.top = beta * ((x[0] - x) * q1_top) + spec.gamma * q1_top
         self.border = beta * spec.alpha1 * spec.b + spec.gamma * spec.alpha1 - spec.delta
         self.sing, self.a1x = spec.alpha1 * spec.alpha2 / x, spec.alpha1 * x
         if spec.kind == "linear":
@@ -306,19 +294,24 @@ class _BorderedSystem:
         q2 *= h
         return self._h_in_place(h), q2, np.empty((self.m + 1, self.m + 1))
 
+    def _q1_products(self, phi):
+        """(b/2) Q1 Phi and Q2 Phi = x (b/2) Q1 Phi - (b/2) Q1 (x Phi), from one
+        product of the standard Q1 with the two columns (Phi, x Phi)."""
+        x = self.x
+        q1phi, q1xphi = (self.q1 @ np.stack((phi, x * phi), axis=1)).T * self.half_b
+        return q1phi, x * q1phi - q1xphi
+
     def residual(self, z):
-        """F(z) and the y = y0 + a1*x + Q2 Phi it was formed from.  From
-        n = _FINE_N on, H Phi and Q2 Phi come from one product of Q1 with
-        (Phi, x Phi), as krylov_step's J v does; below it from the matrices."""
+        """F(z) and the y = y0 + a1*x + Q2 Phi it was formed from, by the
+        degree rule of the class."""
         m = self.m
         phi = z[:m]
         fz = np.empty(m + 1)
         rows = fz[:m]
         if self.fine:
-            x = self.x
-            q1phi, q1xphi = (self.q1 @ np.stack((phi, x * phi), axis=1)).T * self.half_b
-            y = z[m] + self.a1x + (x * q1phi - q1xphi)
-            np.multiply(self.spec.alpha2 / x, q1phi, out=rows)
+            q1phi, q2phi = self._q1_products(phi)
+            y = z[m] + self.a1x + q2phi
+            np.multiply(self.spec.alpha2 / self.x, q1phi, out=rows)
             rows += phi  # H Phi
         else:
             h, q2, _ = self.matrices
@@ -364,18 +357,15 @@ class _BorderedSystem:
         """-J^-1 F from matrix-free GMRES on J v = (H v_Phi + f_y (Q2 v_Phi +
         v_y0), top v_Phi + beta v_y0), solved to the inexact-Newton forcing
         term (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996); a step
-        GMRES misses within its cap takes LU.  Q2[i, k] = (x_i - x_k) Q1[i, k],
-        so H v_Phi and Q2 v_Phi come from one product of the standard Q1 with
-        the two columns (v_Phi, x v_Phi), scaled by b/2."""
-        m, x, q1, half_b, top, beta = self.m, self.x, self.q1, self.half_b, self.top, self.beta
-        a2x = self.spec.alpha2 / x
+        GMRES misses within its cap takes LU.  J v adds its terms in the
+        order below: another grouping rounds differently and moves which
+        runs reach the rounding floor."""
+        m, top, beta, a2x = self.m, self.top, self.beta, self.spec.alpha2 / self.x
 
         def jvp(v, out):
             phi, rows = v[:m], out[:m]
-            q1phi, q1xphi = (q1 @ np.stack((phi, x * phi), axis=1)).T * half_b
-            np.multiply(x, q1phi, out=rows)
-            rows -= q1xphi  # Q2 v_Phi
-            rows += v[m]
+            q1phi, q2phi = self._q1_products(phi)
+            np.add(q2phi, v[m], out=rows)
             rows *= fy
             rows += phi
             rows += a2x * q1phi  # H v_Phi = v_Phi + a2 Q1 v_Phi / x
@@ -481,20 +471,10 @@ def _damped_newton(system: _BorderedSystem, step_fn, z: np.ndarray):
     if not math.isfinite(fnorm):
         raise NonlinearSolveError("residual not finite at the initial guess")
 
-    # A bound on max|z|: |z + s| <= |z| + |s| and rounding is monotone, so
-    # the last exact max|z| plus the max|s| of each accepted step since bounds
-    # it.  The exact max is taken only where the bound does not rule the floor
-    # exit out.
-    z_bound = math.inf
-
     def at_floor(z, y, fnorm, step_norm):
         # the full step taken or rejected at z is roundoff-sized, and F(z) is
         # at its rounding floor: the run ends at z
-        nonlocal z_bound
-        if step_norm > _STEP_RTOL * z_bound:
-            return False
-        z_bound = float(np.abs(z).max())
-        return (step_norm <= _STEP_RTOL * z_bound
+        return (step_norm <= _STEP_RTOL * np.abs(z).max()
                 and fnorm <= _FLOOR_FACTOR * np.finfo(float).eps * system.scale(z, y))
 
     for it in range(1, _NEWTON_MAXITER + 1):
@@ -518,7 +498,6 @@ def _damped_newton(system: _BorderedSystem, step_fn, z: np.ndarray):
                                       f"{fnorm:.3e}, rounding floor {floor:.3e})")
         z, fval, y, fnorm = trial, f_trial, y_trial, f_trial_norm
         steps.append(float(np.abs(taken).max()))
-        z_bound += steps[-1]
         if (steps[-1] <= _NEWTON_TOL or fnorm <= _NEWTON_TOL
                 or t == 1.0 and at_floor(z, y, fnorm, steps[-1])):
             return z, fval, y, it, steps

@@ -13,6 +13,7 @@ from laneps.basis import (
     _NEWTON_N,
     BasisConfig,
     NodeSet,
+    RootFindingError,
     _golub_welsch,
     _newton_step,
     _recurrence,
@@ -22,6 +23,7 @@ from laneps.basis import (
     standard_nodeset,
 )
 from laneps.cli import main
+from laneps.quadrature import build_operators
 from laneps.solver import ProblemSpec
 
 ALPHA_GRID = (-0.4, 0.0, 0.5, 1.1, 2.0)
@@ -428,6 +430,31 @@ class TestShifting:
         fresh = standard_nodeset(BasisConfig(0.5, 2))
         for rule in (ns, fresh):
             assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
+
+class TestRuleBeyondDoubles:
+    """A rule that doubles cannot hold raises RootFindingError in one error state."""
+
+    @pytest.mark.parametrize("alpha,n", [(1000.0, 300), (1e8, 64), (1e50, 1), (1e50, 4),
+                                         (1e50, 8), (1e150, 4), (1e150, 300), (1e300, 64)])
+    @pytest.mark.parametrize("build", [build_operators, standard_nodeset],
+                             ids=["build_operators", "standard_nodeset"])
+    def test_raises_twice_without_a_warning(self, build, alpha, n):
+        """The second call raises too: nothing was memoized by the first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(RootFindingError):
+                    build(BasisConfig(alpha, n))
+
+    @pytest.mark.parametrize("alpha", [-0.499, 0.5, 20.0, 200.0])
+    @pytest.mark.parametrize("n", [1, 64, 300])
+    def test_rules_that_doubles_hold_build_without_a_warning(self, alpha, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ops = build_operators(BasisConfig(alpha, n))
+        for arr in (ops.standard.weights, ops.standard.bary, ops.q1):
+            assert np.isfinite(arr).all()
 
 
 class TestBarycentricWeights:

@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,21 @@ class TestExample:
         assert err == "error: n must be at least 1, got -1\n"
 
 
+class TestRuleBeyondDoubles:
+    @pytest.mark.parametrize("command", ["example", "nodes"])
+    @pytest.mark.parametrize("alpha", ["1000", "1e50", "1e150"])
+    def test_is_a_typed_error(self, capsys, command, alpha):
+        """A rule that doubles cannot hold exits 1 with an error line, not a traceback."""
+        head = ["example", "2"] if command == "example" else ["nodes", "--b", "1"]
+        n = "300" if alpha == "1000" else "8"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *head, "--n", n, "--alpha", alpha)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestNodes:
     def test_dump_shape_and_endpoint(self, capsys):
         code, out, _ = run(capsys, "nodes", "--n", "4", "--alpha", "0.5", "--b", "1.5")
@@ -125,6 +141,14 @@ class TestNodes:
         assert code == 1
         assert out == ""
         assert err == f"error: interval length must be positive, got {b}\n"
+
+    @pytest.mark.parametrize("b", ["1e300", "1e-300"])
+    def test_weights_beyond_the_double_range_are_an_error(self, capsys, b):
+        """(b/2)^(2 alpha) w overflows at b = 1e300 and underflows to 0 at b = 1e-300."""
+        code, out, err = run(capsys, "nodes", "--n", "4", "--alpha", "20", "--b", b)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: the weights on [0, {float(b)!r}] leave the double range\n"
 
     @staticmethod
     def _dump(capsys, n, alpha, b):

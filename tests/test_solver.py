@@ -692,6 +692,21 @@ class TestResidual:
             assert abs(system.scale(z, y) - expected) <= 1e-14 * expected
 
 
+class TestBorderRow:
+    @pytest.mark.parametrize("alpha", [-0.4, 0.5, 2.0])
+    @pytest.mark.parametrize("n", [4, 64, 255, 256, 512])
+    @pytest.mark.parametrize("beta,gamma", [(1.0, 0.5), (2.0, 0.0), (0.0, 1.0)])
+    def test_top_is_the_operator_row_bit_for_bit(self, beta, gamma, n, alpha):
+        """beta * Q2[0] + gamma * Q1[0] on [0, b] from the operator definitions,
+        on both sides of the degree at which H and Q2 stop being formed at set-up."""
+        spec = ProblemSpec(kind="linear", alpha1=0.3, alpha2=2.0, beta=beta, gamma=gamma,
+                           delta=1.0, b=1.3, p=np.ones_like, g=np.ones_like)
+        ops = build_operators(BasisConfig(alpha, n))
+        _, q1, q2 = operators_on(ops, spec.b)
+        top = solver._BorderedSystem(spec, ops).top
+        assert np.array_equal(top, beta * q2[0] + gamma * q1[0])
+
+
 class TestAllocation:
     @pytest.mark.parametrize("ex_id,alpha,ceiling", [
         (2, 0.5, 0.5), (2, -0.4, 0.5), (5, 0.5, 0.5), (5, -0.4, 0.5), (5, 2.0, 0.5),
